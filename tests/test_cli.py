@@ -40,6 +40,14 @@ GOLDEN_ARGS = {
     "pair": ["--n", "2", "--degree", "4", "--seed", "5", "--format", "structured",
              "pair", "v1*v2 - v2*v1"],
     "projcheck": ["--n", "4", "--format", "structured", "projcheck"],
+    "nu": ["--n", "2", "--format", "structured", "nu", "v1 + v1*v2"],
+    "gamma": ["--n", "2", "--format", "structured", "gamma", "v1 + v1*v2"],
+    "phi": ["--n", "3", "--format", "structured", "phi", "p12*p23 - 1/2*p31 + i*p11"],
+    "span": ["--n", "2", "--degree", "4", "--format", "structured",
+             "span", "v1*v2 - v2*v1"],
+    "vanish": ["--n", "2", "--degree", "3", "--format", "structured",
+               "vanish", "--", "3/5,4/5i"],
+    "classify": ["--n", "2", "--format", "structured", "classify", "3/5i,4/5i"],
 }
 
 
