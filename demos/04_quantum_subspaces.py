@@ -25,7 +25,6 @@ from halfsphere import (
     sample_points,
     sample_regular_point,
     sampled_f_symmetric,
-    sigma_stable,
     vanishing_ideal,
 )
 from halfsphere.parsing import format_point
@@ -48,7 +47,7 @@ print("contains v1 v2 v1^2 - v2 v1^3:", membership(
     NCPoly.from_word(n, (1, 2, 1, 1)) - NCPoly.from_word(n, (2, 1, 1, 1)),
 ))
 print("is graded:", is_graded(comm))
-print("is sigma stable:", sigma_stable(comm))
+print("is sigma stable:", is_graded(comm))  # stability under nu is gradedness
 
 # Sampling representation points classifies the subspace: every regular
 # point dies on the commutators, every real point survives.

@@ -16,50 +16,33 @@ parity of the word length.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from typing import Dict, Tuple
 
 from .errors import DimensionError
-from .scalars import EC_ONE, ExactComplex, Fraction
+from .scalars import EC_ONE, ExactComplex, Fraction, SparseTerms, add_term
 from .sphere_ring import ZMonomial, ZPoly
 
 Word = Tuple[int, ...]
 
 
-class NCPoly:
+class NCPoly(SparseTerms):
     """A noncommutative polynomial in v_1..v_n; purely syntactic.
 
     __eq__ is structural (same words, same coefficients).  Equality in the
     algebra is nc_equal, decided through the crossed-product image.
     """
 
-    __slots__ = ("n", "terms", "_hash")
+    __slots__ = ()
 
-    def __init__(self, n: int, terms: Dict[Word, ExactComplex] | None = None):
-        if n < 1:
-            raise DimensionError("dimension n must be at least 1")
-        self.n = n
-        clean: Dict[Word, ExactComplex] = {}
-        if terms:
-            for w, c in terms.items():
-                if any(not 1 <= i <= n for i in w):
-                    raise DimensionError(f"letter out of range 1..{n} in word {w}")
-                if not c.is_zero():
-                    clean[tuple(w)] = c
-        self.terms = clean
-        self._hash = None
+    @staticmethod
+    def _key(n: int, w) -> Word:
+        if any(not 1 <= i <= n for i in w):
+            raise DimensionError(f"letter out of range 1..{n} in word {w}")
+        return tuple(w)
 
-    @classmethod
-    def zero(cls, n: int) -> "NCPoly":
-        return cls(n)
-
-    @classmethod
-    def one(cls, n: int) -> "NCPoly":
-        return cls(n, {(): EC_ONE})
-
-    @classmethod
-    def constant(cls, n: int, c: ExactComplex) -> "NCPoly":
-        return cls(n, {(): c})
+    _key_mul = staticmethod(operator.add)  # word concatenation
 
     @classmethod
     def generator(cls, n: int, i: int) -> "NCPoly":
@@ -71,79 +54,13 @@ class NCPoly:
     def from_word(cls, n: int, word: Word, coeff: ExactComplex = EC_ONE) -> "NCPoly":
         return cls(n, {tuple(word): coeff})
 
-    def __add__(self, other: "NCPoly") -> "NCPoly":
-        if self.n != other.n:
-            raise DimensionError("dimension mismatch in addition")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            cur = out.get(w)
-            total = c if cur is None else cur + c
-            if total.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = total
-        return NCPoly(self.n, out)
-
-    def __sub__(self, other: "NCPoly") -> "NCPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "NCPoly":
-        return NCPoly(self.n, {w: -c for w, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, NCPoly):
-            if self.n != other.n:
-                raise DimensionError("dimension mismatch in multiplication")
-            out: Dict[Word, ExactComplex] = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    w = w1 + w2
-                    c = c1 * c2
-                    cur = out.get(w)
-                    total = c if cur is None else cur + c
-                    if total.is_zero():
-                        out.pop(w, None)
-                    else:
-                        out[w] = total
-            return NCPoly(self.n, out)
-        if isinstance(other, (ExactComplex, int, Fraction)):
-            c = other if isinstance(other, ExactComplex) else ExactComplex.of(other)
-            return NCPoly(self.n, {w: v * c for w, v in self.terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
+    __mul__ = __rmul__ = SparseTerms.__mul__
 
     def star(self) -> "NCPoly":
         # generators are self-adjoint, so * reverses words and conjugates coefficients
         return NCPoly(
             self.n, {tuple(reversed(w)): c.conj() for w, c in self.terms.items()}
         )
-
-    @property
-    def degree(self) -> int:
-        """Maximal word length; 0 for the zero polynomial."""
-        return max((len(w) for w in self.terms), default=0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]), reverse=True)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, NCPoly)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.n, frozenset(self.terms.items())))
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"NCPoly(n={self.n}, {len(self.terms)} terms)"
 
 
 @lru_cache(maxsize=None)
@@ -272,26 +189,9 @@ class CrossedElem:
         return f"CrossedElem(f0={self.f0!r}, f1={self.f1!r})"
 
 
-def pi_word(n: int, word: Word) -> CrossedElem:
-    """Image of the word v_{i1}...v_{ik}: alternate z and z~ letters."""
-    a = [0] * n
-    b = [0] * n
-    for pos, letter in enumerate(word):
-        if not 1 <= letter <= n:
-            raise DimensionError(f"letter {letter} out of range 1..{n}")
-        if pos % 2 == 0:
-            a[letter - 1] += 1
-        else:
-            b[letter - 1] += 1
-    poly = ZPoly(n, {ZMonomial(a, b): EC_ONE})
-    zero = ZPoly.zero(n)
-    if len(word) % 2 == 0:
-        return CrossedElem(poly, zero)
-    return CrossedElem(zero, poly)
-
-
 def pi(p: NCPoly) -> CrossedElem:
-    """The faithful representation; linear extension of pi_word."""
+    """The faithful representation: the word v_{i1}...v_{ik} goes to the
+    monomial z_{i1} z_{i2}~ z_{i3} ... with alternating conjugation."""
     n = p.n
     even: Dict[ZMonomial, ExactComplex] = {}
     odd: Dict[ZMonomial, ExactComplex] = {}
@@ -304,13 +204,7 @@ def pi(p: NCPoly) -> CrossedElem:
             else:
                 b[letter - 1] += 1
         target = even if len(word) % 2 == 0 else odd
-        m = ZMonomial(a, b)
-        cur = target.get(m)
-        total = coeff if cur is None else cur + coeff
-        if total.is_zero():
-            target.pop(m, None)
-        else:
-            target[m] = total
+        add_term(target, ZMonomial(a, b), coeff)
     return CrossedElem(ZPoly(n, even), ZPoly(n, odd))
 
 

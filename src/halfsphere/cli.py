@@ -15,7 +15,7 @@ from random import Random
 from typing import List
 
 from .algebra import nc_lift, pi
-from .errors import HalfsphereError, ParseError, PreconditionError, DimensionError
+from .errors import HalfsphereError, ParseError, PreconditionError
 from .parsing import (
     format_crossed,
     format_mat2,
@@ -47,7 +47,6 @@ from .subspaces import (
     is_graded,
     membership,
     sampled_f_symmetric,
-    sigma_stable,
     vanishing_ideal,
 )
 
@@ -150,6 +149,8 @@ def _session(args) -> Session:
         raise PreconditionError("n must be at least 1")
     if args.degree < 0:
         raise PreconditionError("degree bound must be nonnegative")
+    if not args.eps > 0:
+        raise PreconditionError("eps must be positive")
     return Session(
         n=args.n,
         mode=args.mode,
@@ -196,7 +197,8 @@ def _run_nf(session: Session, args, out: Output) -> int:
         out.pair("odd", format_zpoly(x.f1))
     else:
         out.text(f"canonical form: {format_crossed(x)}")
-    out.pair("lift", format_ncpoly(nc_lift(x)), text=f"lift: {format_ncpoly(nc_lift(x))}")
+    lift = format_ncpoly(nc_lift(x))
+    out.pair("lift", lift, text=f"lift: {lift}")
     return 0
 
 
@@ -228,7 +230,8 @@ def _run_grade(session: Session, args, out: Output) -> int:
     return 0
 
 
-def _run_unary(session: Session, args, out: Output, name: str) -> int:
+def _run_unary(session: Session, args, out: Output) -> int:
+    name = args.command
     x = pi(_parse_nc(session, args.expr))
     result = x.nu() if name == "nu" else x.gamma()
     _emit_session(out, session)
@@ -309,16 +312,10 @@ def _run_classify(session: Session, args, out: Output) -> int:
             format_float_complex(cls.witness),
             text=f"witness multiplier: {format_float_complex(cls.witness)}",
         )
-    out.pair(
-        "irreducible",
-        _bool(is_irreducible(z, session.epsilon)),
-        text=f"irreducible: {_bool(is_irreducible(z, session.epsilon))}",
-    )
-    out.pair(
-        "commutant_dimension",
-        commutant_dimension(z, session.epsilon),
-        text=f"commutant dimension: {commutant_dimension(z, session.epsilon)}",
-    )
+    irreducible = _bool(is_irreducible(z, session.epsilon))
+    out.pair("irreducible", irreducible, text=f"irreducible: {irreducible}")
+    dim = commutant_dimension(z, session.epsilon)
+    out.pair("commutant_dimension", dim, text=f"commutant dimension: {dim}")
     if cls.tag != REGULAR:
         y, ym = decompose_nonregular(z, session.epsilon)
         out.pair("decomposition_plus", format_point(y), text=f"splits as phi at {format_point(y)}")
@@ -346,8 +343,7 @@ def _run_span(session: Session, args, out: Output) -> int:
     _emit_generators(out, args.gens)
     out.pair("degree_bound", spec.degree_bound, text=f"degree bound: {spec.degree_bound}")
     out.pair("dimension", span.dimension, text=f"span dimension: {span.dimension}")
-    for k, b in enumerate(span.vectors(), start=1):
-        out.pair(f"basis_{k}", format_ncpoly(nc_lift(b)), text=f"  basis {k}: {format_ncpoly(nc_lift(b))}")
+    _emit_basis(out, span)
     return 0
 
 
@@ -401,11 +397,8 @@ def _run_pair(session: Session, args, out: Output) -> int:
         _bool(result.non_classical),
         text=f"non-classical: {_bool(result.non_classical)}",
     )
-    out.pair(
-        "F_symmetric",
-        _bool(sampled_f_symmetric(result)),
-        text=f"sampled F = -F: {_bool(sampled_f_symmetric(result))}",
-    )
+    symmetric = _bool(sampled_f_symmetric(result))
+    out.pair("F_symmetric", symmetric, text=f"sampled F = -F: {symmetric}")
     return 0
 
 
@@ -419,8 +412,7 @@ def _run_vanish(session: Session, args, out: Output) -> int:
         out.pair(f"point_{k}", format_point(z), text=f"  point {k}: {format_point(z)}")
     out.pair("degree_bound", session.degree_bound, text=f"degree bound: {session.degree_bound}")
     out.pair("dimension", span.dimension, text=f"kernel dimension: {span.dimension}")
-    for k, b in enumerate(span.vectors(), start=1):
-        out.pair(f"basis_{k}", format_ncpoly(nc_lift(b)), text=f"  basis {k}: {format_ncpoly(nc_lift(b))}")
+    _emit_basis(out, span)
     return 0
 
 
@@ -470,10 +462,18 @@ def _emit_generators(out: Output, gen_texts):
         out.pair(f"generator_{k}", g, text=f"  generator {k}: {g}")
 
 
+def _emit_basis(out: Output, span):
+    for k, b in enumerate(span.vectors(), start=1):
+        lift = format_ncpoly(nc_lift(b))
+        out.pair(f"basis_{k}", lift, text=f"  basis {k}: {lift}")
+
+
 _HANDLERS = {
     "nf": _run_nf,
     "eq": _run_eq,
     "grade": _run_grade,
+    "nu": _run_unary,
+    "gamma": _run_unary,
     "phi": _run_phi,
     "phi-inv": _run_phi_inv,
     "theta": _run_theta,
@@ -497,12 +497,7 @@ def run(argv) -> "tuple[int, str]":
     args = parser.parse_args(argv)
     session = _session(args)
     out = Output(fmt=session.fmt)
-    if args.command == "nu":
-        code = _run_unary(session, args, out, "nu")
-    elif args.command == "gamma":
-        code = _run_unary(session, args, out, "gamma")
-    else:
-        code = _HANDLERS[args.command](session, args, out)
+    code = _HANDLERS[args.command](session, args, out)
     return code, out.render()
 
 
@@ -513,9 +508,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (PreconditionError, DimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except HalfsphereError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List
 
-from .scalars import EC_ONE, ExactComplex
+from .scalars import EC_ONE, ExactComplex, add_term
 
 Vector = Dict[int, ExactComplex]
 
@@ -34,16 +34,10 @@ class Echelon:
             if not hit:
                 return v
             col = min(hit)
-            coef = v.pop(col)
+            ncoef = -v.pop(col)
             for c, rc in self.pivots[col].items():
-                if c == col:
-                    continue
-                cur = v.get(c)
-                total = -coef * rc if cur is None else cur - coef * rc
-                if total.is_zero():
-                    v.pop(c, None)
-                else:
-                    v[c] = total
+                if c != col:
+                    add_term(v, c, ncoef * rc)
 
     def contains(self, vec: Vector) -> bool:
         return not self.reduce_vector(vec)
@@ -57,20 +51,14 @@ class Echelon:
         inv = EC_ONE / r[p]
         row = {c: coef * inv for c, coef in r.items()}
         # restore full reduction: clear column p from the existing rows
-        for q, other in self.pivots.items():
-            coef = other.get(p)
+        for other in self.pivots.values():
+            coef = other.pop(p, None)
             if coef is None:
                 continue
+            ncoef = -coef
             for c, rc in row.items():
-                if c == p:
-                    other.pop(p, None)
-                    continue
-                cur = other.get(c)
-                total = -coef * rc if cur is None else cur - coef * rc
-                if total.is_zero():
-                    other.pop(c, None)
-                else:
-                    other[c] = total
+                if c != p:
+                    add_term(other, c, ncoef * rc)
         self.pivots[p] = row
         return True
 

@@ -17,98 +17,34 @@ from typing import Dict, Iterable, List, Tuple
 
 from .algebra import CrossedElem, NCPoly, Word
 from .errors import DimensionError, PreconditionError
-from .scalars import EC_ONE, ExactComplex, Fraction
+from .scalars import EC_ONE, ExactComplex, SparseTerms, add_term
 from .sphere_ring import ZMonomial, ZPoly
 
 Pair = Tuple[int, int]
 PairSeq = Tuple[Pair, ...]
 
 
-class PExpr:
+class PExpr(SparseTerms):
     """A polynomial in the projective coordinates p_ij (commuting variables)."""
 
-    __slots__ = ("n", "terms", "_hash")
+    __slots__ = ()
 
-    def __init__(self, n: int, terms: Dict[PairSeq, ExactComplex] | None = None):
-        if n < 1:
-            raise DimensionError("dimension n must be at least 1")
-        self.n = n
-        clean: Dict[PairSeq, ExactComplex] = {}
-        if terms:
-            for pairs, c in terms.items():
-                for i, j in pairs:
-                    if not (1 <= i <= n and 1 <= j <= n):
-                        raise DimensionError(
-                            f"index pair ({i},{j}) out of range 1..{n}"
-                        )
-                if not c.is_zero():
-                    key = tuple(sorted(tuple(p) for p in pairs))
-                    cur = clean.get(key)
-                    total = c if cur is None else cur + c
-                    if total.is_zero():
-                        clean.pop(key, None)
-                    else:
-                        clean[key] = total
-        self.terms = clean
-        self._hash = None
+    @staticmethod
+    def _key(n: int, pairs) -> PairSeq:
+        for i, j in pairs:
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise DimensionError(f"index pair ({i},{j}) out of range 1..{n}")
+        return tuple(sorted(tuple(p) for p in pairs))
 
-    @classmethod
-    def zero(cls, n: int) -> "PExpr":
-        return cls(n)
-
-    @classmethod
-    def one(cls, n: int) -> "PExpr":
-        return cls(n, {(): EC_ONE})
-
-    @classmethod
-    def constant(cls, n: int, c: ExactComplex) -> "PExpr":
-        return cls(n, {(): c})
+    @staticmethod
+    def _key_mul(ps1: PairSeq, ps2: PairSeq) -> PairSeq:
+        return tuple(sorted(ps1 + ps2))
 
     @classmethod
     def generator(cls, n: int, i: int, j: int) -> "PExpr":
         return cls(n, {((i, j),): EC_ONE})
 
-    def __add__(self, other: "PExpr") -> "PExpr":
-        if self.n != other.n:
-            raise DimensionError("dimension mismatch in addition")
-        out = dict(self.terms)
-        for pairs, c in other.terms.items():
-            cur = out.get(pairs)
-            total = c if cur is None else cur + c
-            if total.is_zero():
-                out.pop(pairs, None)
-            else:
-                out[pairs] = total
-        return PExpr(self.n, out)
-
-    def __sub__(self, other: "PExpr") -> "PExpr":
-        return self + (-other)
-
-    def __neg__(self) -> "PExpr":
-        return PExpr(self.n, {pairs: -c for pairs, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, PExpr):
-            if self.n != other.n:
-                raise DimensionError("dimension mismatch in multiplication")
-            out: Dict[PairSeq, ExactComplex] = {}
-            for ps1, c1 in self.terms.items():
-                for ps2, c2 in other.terms.items():
-                    key = tuple(sorted(ps1 + ps2))
-                    c = c1 * c2
-                    cur = out.get(key)
-                    total = c if cur is None else cur + c
-                    if total.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = total
-            return PExpr(self.n, out)
-        if isinstance(other, (ExactComplex, int, Fraction)):
-            c = other if isinstance(other, ExactComplex) else ExactComplex.of(other)
-            return PExpr(self.n, {ps: v * c for ps, v in self.terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
+    __mul__ = __rmul__ = SparseTerms.__mul__
 
     def star(self) -> "PExpr":
         """The involution p_ij* = p_ji with coefficients conjugated."""
@@ -135,13 +71,7 @@ class PExpr:
             for i, j in pairs:
                 a[i - 1] += 1
                 b[j - 1] += 1
-            m = ZMonomial(a, b)
-            cur = terms.get(m)
-            total = c if cur is None else cur + c
-            if total.is_zero():
-                terms.pop(m, None)
-            else:
-                terms[m] = total
+            add_term(terms, ZMonomial(a, b), c)
         return ZPoly(self.n, terms).reduce()
 
     def phi(self) -> NCPoly:
@@ -152,37 +82,8 @@ class PExpr:
             for i, j in pairs:
                 word.append(i)
                 word.append(j)
-            key = tuple(word)
-            cur = terms.get(key)
-            total = c if cur is None else cur + c
-            if total.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = total
+            add_term(terms, tuple(word), c)
         return NCPoly(self.n, terms)
-
-    @property
-    def degree(self) -> int:
-        return max((len(ps) for ps in self.terms), default=0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]), reverse=True)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PExpr) and self.n == other.n and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.n, frozenset(self.terms.items())))
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"PExpr(n={self.n}, {len(self.terms)} terms)"
 
 
 def phi_inv(x: CrossedElem) -> ZPoly:

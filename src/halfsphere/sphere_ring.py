@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, Sequence
 
 from .errors import DimensionError
-from .scalars import EC_ONE, EC_ZERO, ExactComplex, Fraction
+from .scalars import EC_ONE, EC_ZERO, ExactComplex, SparseTerms, add_term
 
 
 class ZMonomial:
@@ -91,6 +91,17 @@ class ZMonomial:
         a[i] -= 1
         return ZMonomial(a, self.b)
 
+    def evaluate(self, coords: Sequence, conj: Sequence, scale):
+        """scale * z^a * z~^b with z = coords and z~ = conj, exact or float."""
+        v = scale
+        for i, e in enumerate(self.a):
+            if e:
+                v = v * coords[i] ** e
+        for i, e in enumerate(self.b):
+            if e:
+                v = v * conj[i] ** e
+        return v
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ZMonomial) and self.a == other.a and self.b == other.b
@@ -107,49 +118,28 @@ def _unit_monomial(n: int) -> ZMonomial:
     return ZMonomial((0,) * n, (0,) * n)
 
 
-def _accumulate(d: Dict[ZMonomial, ExactComplex], m: ZMonomial, c: ExactComplex):
-    cur = d.get(m)
-    total = c if cur is None else cur + c
-    if total.is_zero():
-        d.pop(m, None)
-    else:
-        d[m] = total
-
-
-class ZPoly:
+class ZPoly(SparseTerms):
     """A polynomial in z_1..z_n, z_1~..z_n~ with Gaussian-rational coefficients."""
 
-    __slots__ = ("n", "terms", "_reduced", "_hash")
+    __slots__ = ("_reduced",)
 
     def __init__(self, n: int, terms: Dict[ZMonomial, ExactComplex] | None = None):
-        if n < 1:
-            raise DimensionError("dimension n must be at least 1")
-        self.n = n
-        clean: Dict[ZMonomial, ExactComplex] = {}
-        if terms:
-            for m, c in terms.items():
-                if m.n != n:
-                    raise DimensionError("monomial dimension does not match n")
-                if not c.is_zero():
-                    clean[m] = c
-        self.terms = clean
-        self._reduced = not clean
-        self._hash = None
+        super().__init__(n, terms)
+        self._reduced = not self.terms
+
+    @staticmethod
+    def _key(n: int, m: ZMonomial) -> ZMonomial:
+        if m.n != n:
+            raise DimensionError("monomial dimension does not match n")
+        return m
+
+    _key_mul = staticmethod(ZMonomial.__mul__)
+    _unit_key = staticmethod(_unit_monomial)
+    _key_degree = staticmethod(lambda m: m.degree)
+    _sort_key = staticmethod(ZMonomial.sort_key)
 
     # ------------------------------------------------------------------
     # constructors
-
-    @classmethod
-    def zero(cls, n: int) -> "ZPoly":
-        return cls(n)
-
-    @classmethod
-    def one(cls, n: int) -> "ZPoly":
-        return cls.constant(n, EC_ONE)
-
-    @classmethod
-    def constant(cls, n: int, c: ExactComplex) -> "ZPoly":
-        return cls(n, {_unit_monomial(n): c})
 
     @classmethod
     def generator(cls, n: int, i: int) -> "ZPoly":
@@ -169,38 +159,8 @@ class ZPoly:
         b[i - 1] = 1
         return cls(n, {ZMonomial((0,) * n, b): EC_ONE})
 
-    # ------------------------------------------------------------------
-    # ring operations (lazy: no reduction here)
-
-    def __add__(self, other: "ZPoly") -> "ZPoly":
-        if self.n != other.n:
-            raise DimensionError("dimension mismatch in addition")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _accumulate(out, m, c)
-        return ZPoly(self.n, out)
-
-    def __sub__(self, other: "ZPoly") -> "ZPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "ZPoly":
-        return ZPoly(self.n, {m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, ZPoly):
-            if self.n != other.n:
-                raise DimensionError("dimension mismatch in multiplication")
-            out: Dict[ZMonomial, ExactComplex] = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    _accumulate(out, m1 * m2, c1 * c2)
-            return ZPoly(self.n, out)
-        if isinstance(other, (ExactComplex, int, Fraction)):
-            c = other if isinstance(other, ExactComplex) else ExactComplex.of(other)
-            return ZPoly(self.n, {m: v * c for m, v in self.terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
+    # ring operations are lazy: no reduction here
+    __mul__ = __rmul__ = SparseTerms.__mul__
 
     # ------------------------------------------------------------------
     # involutions and grading
@@ -259,11 +219,11 @@ class ZPoly:
                 continue
             if m.has_redex():
                 base = m.strip_leading_pair()
-                _accumulate(work, base, c)
+                add_term(work, base, c)
                 for i in range(1, self.n):
-                    _accumulate(work, base.raised_pair(i), -c)
+                    add_term(work, base.raised_pair(i), -c)
             else:
-                _accumulate(out, m, c)
+                add_term(out, m, c)
         result = ZPoly(self.n, out)
         result._reduced = True
         return result
@@ -272,67 +232,27 @@ class ZPoly:
     # evaluation
 
     def evaluate(self, coords: Sequence[ExactComplex]) -> ExactComplex:
-        if len(coords) != self.n:
-            raise DimensionError(
-                f"point has {len(coords)} coordinates, polynomial expects {self.n}"
-            )
+        self._check_point(coords)
         conj = [c.conj() for c in coords]
         total = EC_ZERO
         for m, coeff in self.terms.items():
-            v = coeff
-            for i, e in enumerate(m.a):
-                if e:
-                    v = v * coords[i] ** e
-            for i, e in enumerate(m.b):
-                if e:
-                    v = v * conj[i] ** e
-            total = total + v
+            total = total + m.evaluate(coords, conj, coeff)
         return total
 
     def evaluate_float(self, coords: Sequence[complex]) -> complex:
+        self._check_point(coords)
+        coords = [complex(c) for c in coords]
+        conj = [c.conjugate() for c in coords]
+        total = 0j
+        for m, coeff in self.terms.items():
+            total += m.evaluate(coords, conj, coeff.to_complex())
+        return total
+
+    def _check_point(self, coords: Sequence) -> None:
         if len(coords) != self.n:
             raise DimensionError(
                 f"point has {len(coords)} coordinates, polynomial expects {self.n}"
             )
-        conj = [complex(c).conjugate() for c in coords]
-        total = 0j
-        for m, coeff in self.terms.items():
-            v = coeff.to_complex()
-            for i, e in enumerate(m.a):
-                if e:
-                    v *= complex(coords[i]) ** e
-            for i, e in enumerate(m.b):
-                if e:
-                    v *= conj[i] ** e
-            total += v
-        return total
-
-    # ------------------------------------------------------------------
-    # misc
-
-    @property
-    def degree(self) -> int:
-        """Total degree; 0 for the zero polynomial."""
-        return max((m.degree for m in self.terms), default=0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: t[0].sort_key(), reverse=True)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ZPoly) and self.n == other.n and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.n, frozenset(self.terms.items())))
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"ZPoly(n={self.n}, {len(self.terms)} terms)"
 
 
 def sphere_relation(n: int) -> ZPoly:
@@ -344,7 +264,7 @@ def sphere_relation(n: int) -> ZPoly:
         a[i] = 1
         b[i] = 1
         terms[ZMonomial(a, b)] = EC_ONE
-    _accumulate(terms, _unit_monomial(n), -EC_ONE)
+    add_term(terms, _unit_monomial(n), -EC_ONE)
     return ZPoly(n, terms)
 
 

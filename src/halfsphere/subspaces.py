@@ -62,20 +62,14 @@ class TruncationBasis:
         if x.n != self.n:
             raise DimensionError("element dimension does not match the truncation")
         vec: Vector = {}
-        for m, c in x.f0.terms.items():
-            idx = self.index.get((0, m))
-            if idx is None:
-                raise PreconditionError(
-                    f"degree overflow: monomial of degree {m.degree} exceeds bound {self.d}"
-                )
-            vec[idx] = c
-        for m, c in x.f1.terms.items():
-            idx = self.index.get((1, m))
-            if idx is None:
-                raise PreconditionError(
-                    f"degree overflow: monomial of degree {m.degree} exceeds bound {self.d}"
-                )
-            vec[idx] = c
+        for grade, f in ((0, x.f0), (1, x.f1)):
+            for m, c in f.terms.items():
+                idx = self.index.get((grade, m))
+                if idx is None:
+                    raise PreconditionError(
+                        f"degree overflow: monomial of degree {m.degree} exceeds bound {self.d}"
+                    )
+                vec[idx] = c
         return vec
 
     def element(self, vec: Vector) -> CrossedElem:
@@ -373,15 +367,6 @@ def classify_pair(
     return PairEF(tuple(e_points), tuple(f_points))
 
 
-def sigma_stable(spec: IdealSpec) -> bool:
-    """Stability of the truncated span under the sign automorphism sigma = nu.
-
-    Coincides with gradedness: the span is nu-stable iff it contains the
-    graded parts of each element.
-    """
-    return is_graded(spec)
-
-
 def sampled_f_symmetric(pair: PairEF) -> bool:
     """Whether the sampled real zero set satisfies F = -F."""
     coords = {p.coords for p in pair.F}
@@ -413,7 +398,7 @@ def vanishing_ideal(
         if classify_point(z).tag == REAL:
             row: Vector = {}
             for idx, (grade, m) in enumerate(tb.columns):
-                val = _eval_monomial(m, zc, zb)
+                val = m.evaluate(zc, zb, EC_ONE)
                 if not val.is_zero():
                     row[idx] = val
             rows.append(row)
@@ -423,8 +408,8 @@ def vanishing_ideal(
             r10: Vector = {}
             r11: Vector = {}
             for idx, (grade, m) in enumerate(tb.columns):
-                at_z = _eval_monomial(m, zc, zb)
-                at_zb = _eval_monomial(m, zb, zc)
+                at_z = m.evaluate(zc, zb, EC_ONE)
+                at_zb = m.evaluate(zb, zc, EC_ONE)
                 if grade == 0:
                     if not at_z.is_zero():
                         r00[idx] = at_z
@@ -438,19 +423,6 @@ def vanishing_ideal(
             rows.extend(r for r in (r00, r01, r10, r11) if r)
     kernel = nullspace(rows, tb.column_count)
     return SpanBasis(tb, echelon_from(kernel))
-
-
-def _eval_monomial(
-    m: ZMonomial, coords: List[ExactComplex], conj: List[ExactComplex]
-) -> ExactComplex:
-    v = EC_ONE
-    for i, e in enumerate(m.a):
-        if e:
-            v = v * coords[i] ** e
-    for i, e in enumerate(m.b):
-        if e:
-            v = v * conj[i] ** e
-    return v
 
 
 def lift_basis(span: SpanBasis) -> List[NCPoly]:

@@ -51,7 +51,6 @@ from .subspaces import (
     is_graded,
     lift_basis,
     sampled_f_symmetric,
-    sigma_stable,
     vanishing_ideal,
 )
 
@@ -461,7 +460,7 @@ def _suite_subspace_dictionary(rng: Random) -> SuiteResult:
             return SuiteResult(
                 "subspace_dictionary", False, "commutator ideal flagged non-classical"
             )
-        if not sigma_stable(spec) or not sampled_f_symmetric(pair):
+        if not is_graded(spec) or not sampled_f_symmetric(pair):
             return SuiteResult(
                 "subspace_dictionary", False, f"commutator ideal not sigma stable, n={n}"
             )

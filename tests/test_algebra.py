@@ -13,7 +13,6 @@ from halfsphere.algebra import (
     nc_equal,
     nc_lift,
     pi,
-    pi_word,
     sum_of_squares,
 )
 from halfsphere.scalars import EC_ONE, ExactComplex
@@ -39,7 +38,7 @@ def ncpoly_strategy(n, max_len=4):
 
 
 def test_pi_word_alternates_conjugation():
-    x = pi_word(3, (1, 2))
+    x = pi(NCPoly.from_word(3, (1, 2)))
     assert x.f1.is_zero()
     assert x.f0 == ZPoly(3, {ZMonomial((1, 0, 0), (0, 1, 0)): EC_ONE})
 

@@ -268,6 +268,9 @@ def test_parse_errors_exit_2(argv):
         ["--n", "2", "verify", "bogus"],
         ["--n", "2", "classify", "1/2,1/2"],
         ["--n", "2", "theta", "3/5,4/5,0", "v1"],
+        ["--n", "2", "--eps", "-1", "orbit", "0.6,0.8", "0.6,0.8"],
+        ["--n", "2", "--eps", "0", "orbit", "0.6,0.8", "0.6,0.8"],
+        ["--n", "2", "--eps", "nan", "orbit", "0.6,0.8", "0.6,0.8"],
     ],
 )
 def test_precondition_errors_exit_3(argv):

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from halfsphere.algebra import NCPoly
+from halfsphere.projective import PExpr
 from halfsphere.scalars import (
     DEFAULT_EPSILON,
     EC_I,
@@ -15,6 +17,7 @@ from halfsphere.scalars import (
     approx_zero,
     exact_sqrt,
 )
+from halfsphere.sphere_ring import ZMonomial, ZPoly
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 scalars = st.builds(ExactComplex, rationals, rationals)
@@ -91,3 +94,40 @@ def test_approx_helpers():
     assert not approx_eq(1.0, 1.1)
     assert approx_zero(1e-12)
     assert not approx_zero(1e-3)
+
+
+# -- the shared sparse core, through each of its subclasses at n = 2 ----
+
+SPARSE_KEYS = {
+    NCPoly: st.lists(st.integers(1, 2), max_size=3).map(tuple),
+    ZPoly: st.lists(st.integers(0, 2), min_size=4, max_size=4).map(
+        lambda e: ZMonomial(e[:2], e[2:])
+    ),
+    # unsorted pair lists, so distinct inputs can merge into one key
+    PExpr: st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2)), max_size=2).map(tuple),
+}
+small_scalars = st.builds(
+    ExactComplex,
+    st.fractions(min_value=-2, max_value=2, max_denominator=2),
+    st.fractions(min_value=-2, max_value=2, max_denominator=2),
+)
+
+
+def sparse_strategy(cls):
+    term = st.tuples(SPARSE_KEYS[cls], small_scalars)
+    return st.lists(term, max_size=4).map(lambda ts: cls(2, dict(ts)))
+
+
+@pytest.mark.parametrize("cls", list(SPARSE_KEYS), ids=lambda c: c.__name__)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_sparse_core_laws(cls, data):
+    a, b, c = (data.draw(sparse_strategy(cls)) for _ in range(3))
+    assert (a - a).terms == {}
+    lhs, rhs = (a + b) * c, a * c + b * c
+    assert lhs == rhs and hash(lhs) == hash(rhs)
+    rebuilt = cls(2, dict(reversed(list(a.terms.items()))))
+    assert rebuilt == a and hash(rebuilt) == hash(a)
+    for x in (a, b, c, a - a, lhs, rhs):
+        assert not any(v.is_zero() for v in x.terms.values())
+    assert all(cls.zero(2) != other.zero(2) for other in SPARSE_KEYS if other is not cls)

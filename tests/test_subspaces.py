@@ -30,7 +30,6 @@ from halfsphere.subspaces import (
     lift_basis,
     membership,
     sampled_f_symmetric,
-    sigma_stable,
     vanishing_ideal,
 )
 
@@ -296,9 +295,9 @@ def test_commutator_pair_is_classical():
 def test_sigma_stability_examples():
     n = 2
     comm = IdealSpec(n, (v(n, 1) * v(n, 2) - v(n, 2) * v(n, 1),), 4)
-    assert sigma_stable(comm)
+    assert is_graded(comm)
     shifted = IdealSpec(n, (v(n, 1) - NCPoly.one(n),), 3)
-    assert not sigma_stable(shifted)
+    assert not is_graded(shifted)
     e1 = SpherePoint.from_exact([ec(1), ec(0)])
     pair = classify_pair(shifted, [e1, e1.negate()])
     assert pair.F == (e1,)
