@@ -247,16 +247,50 @@ def _main_quiet(argv):
             return main(argv)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["--n", "3", "nf", "v1 +"],
-        ["--n", "3", "nf", "v4"],
-        ["--n", "2", "nf", "p12"],
-    ],
-)
+# argv -> the exact stderr line; every expression-taking command is covered
+PARSE_ERRORS = {
+    ("--n", "3", "nf", "v1 +"): "empty term (at position 4)",
+    ("--n", "3", "nf", "v4"): "generator index 4 out of range 1..3 (at position 2)",
+    ("--n", "2", "nf", "p12"): "expected an expression in the v-generators (at position 0)",
+    ("--n", "3", "nf", "v1*p12"): "cannot mix v-generators and p-generators (at position 6)",
+    ("--n", "3", "nf", "p12 + v1"): "cannot mix v-generators and p-generators (at position 8)",
+    ("--n", "3", "nf", "v1 + + v2"): "empty term (at position 5)",
+    ("--n", "3", "nf", ""): "empty term (at position 0)",
+    ("--n", "3", "nf", "v1^"): "expected an integer exponent after '^' (at position 3)",
+    ("--n", "3", "eq", "v1", "p12"): "expected an expression in the v-generators (at position 0)",
+    ("--n", "3", "grade", "v1*v5"): "generator index 5 out of range 1..3 (at position 5)",
+    ("--n", "3", "nu", "v1 - ()"): "empty term (at position 6)",
+    ("--n", "3", "gamma", "(v1 + p11)"): "cannot mix v-generators and p-generators (at position 9)",
+    ("--n", "3", "phi-inv", "p12"): "expected an expression in the v-generators (at position 0)",
+    ("--n", "2", "theta", "3/5,4/5", "v1 ++ v2"): "empty term (at position 4)",
+    ("--n", "2", "phirep", "3/5,4/5", "p11"):
+        "expected an expression in the v-generators (at position 0)",
+    ("--n", "2", "char", "3/5,4/5i", "v0"): "generator index 0 out of range 1..2 (at position 2)",
+}
+
+
+def _main_stderr(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [list(argv) for argv in PARSE_ERRORS])
 def test_parse_errors_exit_2(argv):
-    assert _main_quiet(argv) == 2
+    code, err = _main_stderr(argv)
+    assert code == 2
+    assert err == f"parse error: {PARSE_ERRORS[tuple(argv)]}\n"
+
+
+def test_constant_only_expressions():
+    d = kv(run_ok(["--n", "3", "--format", "structured", "nf", "3"]))
+    assert (d["even"], d["odd"], d["lift"]) == ("3", "0", "3")
+    d = kv(run_ok(["--n", "2", "--format", "structured", "nf", "2*(3/4+1/2i)"]))
+    assert (d["even"], d["odd"], d["lift"]) == ("(3/2+i)", "0", "(3/2+i)")
+    d = kv(run_ok(["--n", "2", "--format", "structured", "nf", "(v1 + 1)^0 - 1"]))
+    assert (d["even"], d["odd"]) == ("0", "0")
 
 
 @pytest.mark.parametrize(

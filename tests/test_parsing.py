@@ -4,6 +4,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from halfsphere.algebra import NCPoly, pi
 from halfsphere.errors import DimensionError, MixedAlphabetError, ParseError
@@ -221,3 +222,63 @@ def test_point_print_parse_round_trip():
     for _ in range(10):
         z = sample_regular_point(3, rng)
         assert parse_point(format_point(z), 3) == z
+
+
+# -- model-direct evaluation against the free-algebra path ---------------
+
+SCALAR_TEXTS = ("2", "1/2", "i", "2/3i", "1-1/2i", "3/4+1/2i")
+
+
+@st.composite
+def v_expression(draw, n, depth=2):
+    """(text, bound): a v-expression and an upper bound on its expanded word count.
+
+    Terms mix bare and parenthesised coefficients, constants, generators,
+    nested parentheses and powers up to 4 (including ^0 and stacked powers).
+    """
+
+    def factor(depth):
+        if depth > 0 and draw(st.booleans()):
+            text, bound = draw(v_expression(n, depth - 1))
+            text, bound = f"({text})", bound
+        elif draw(st.integers(0, 4)) == 0:
+            text, bound = f"({draw(st.sampled_from(SCALAR_TEXTS))})", 1
+        else:
+            text, bound = f"v{draw(st.integers(1, n))}", 1
+        for _ in range(draw(st.integers(0, 2))):
+            k = draw(st.integers(0, 4))
+            text, bound = f"{text}^{k}", bound**k
+        return text, bound
+
+    def term(depth):
+        parts, bound = [], 1
+        if draw(st.booleans()):
+            parts.append(draw(st.sampled_from(SCALAR_TEXTS)))
+        for _ in range(draw(st.integers(0 if parts else 1, 3))):
+            text, b = factor(depth)
+            parts.append(text)
+            bound *= b
+        return draw(st.sampled_from(["*", " ", ""])).join(parts), bound
+
+    text, bound = term(depth)
+    if draw(st.booleans()):
+        text = "-" + text
+    for _ in range(draw(st.integers(0, 2))):
+        more, b = term(depth)
+        text, bound = f"{text} {draw(st.sampled_from('+-'))} {more}", bound + b
+    return text, bound
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_model_evaluation_matches_free_algebra(data):
+    from halfsphere.cli import run
+
+    n = data.draw(st.sampled_from([2, 3, 4]))
+    text, bound = data.draw(v_expression(n))
+    assume(bound <= 400)
+    want = pi(parse_expr(text, n).as_nc())
+    code, out = run(["--n", str(n), "--format", "structured", "nf", "--", text])
+    assert code == 0
+    assert f"even = {format_zpoly(want.f0)}" in out.splitlines(), text
+    assert f"odd = {format_zpoly(want.f1)}" in out.splitlines(), text

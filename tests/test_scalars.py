@@ -131,3 +131,17 @@ def test_sparse_core_laws(cls, data):
     for x in (a, b, c, a - a, lhs, rhs):
         assert not any(v.is_zero() for v in x.terms.values())
     assert all(cls.zero(2) != other.zero(2) for other in SPARSE_KEYS if other is not cls)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda: PExpr.one(2) + NCPoly.one(2),
+        lambda: NCPoly.one(2) - PExpr.one(2),
+        lambda: NCPoly.one(2) + ZPoly.one(2),
+    ],
+    ids=["PExpr+NCPoly", "NCPoly-PExpr", "NCPoly+ZPoly"],
+)
+def test_cross_class_sums_raise(op):
+    with pytest.raises(TypeError, match="unsupported operand"):
+        op()

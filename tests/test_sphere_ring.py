@@ -1,10 +1,14 @@
 """Weighted sphere-coordinate ring and its single-rule normal form."""
 
 from fractions import Fraction
+from itertools import product
+from math import factorial, prod
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from halfsphere.scalars import ExactComplex
+from halfsphere.representations import rational_unit_vector
+from halfsphere.scalars import EC_ONE, ExactComplex
 from halfsphere.sphere_ring import (
     ZMonomial,
     ZPoly,
@@ -143,3 +147,66 @@ def test_reduced_monomials_enumeration():
     assert all(m.weight == 0 and m.degree <= 2 for m in ms)
     odd = list(reduced_monomials(2, 1, 3))
     assert all(m.weight == 1 for m in odd)
+
+
+# -- independent oracles for the rewrite ---------------------------------
+
+deep_exponents = st.integers(min_value=0, max_value=6)
+small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+def deep_monomials(n):
+    return st.tuples(
+        st.tuples(*[deep_exponents] * n), st.tuples(*[deep_exponents] * n)
+    ).map(lambda ab: ZMonomial(ab[0], ab[1]))
+
+
+def sphere_point(n, params):
+    """An exact point of S^{2n-1} in C^n: real and imaginary parts interleaved."""
+    xs = rational_unit_vector(params)
+    return [ExactComplex(xs[2 * k], xs[2 * k + 1]) for k in range(n)]
+
+
+def value_at(p, point):
+    """sum c z^a conj(z)^b, computed from the terms alone."""
+    total = ExactComplex()
+    for m, c in p.terms.items():
+        for zk, ak, bk in zip(point, m.a, m.b):
+            c = c * zk**ak * zk.conj() ** bk
+        total = total + c
+    return total
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_deep_reduce_leaves_no_redex_and_keeps_sphere_values(data):
+    n = data.draw(st.sampled_from([2, 3, 4]))
+    term = st.tuples(deep_monomials(n), st.builds(ExactComplex, small_rationals, small_rationals))
+    p = ZPoly(n, dict(data.draw(st.lists(term, min_size=1, max_size=3))))
+    params = data.draw(st.lists(small_rationals, min_size=2 * n - 1, max_size=2 * n - 1))
+    r = p.reduce()
+    assert all(m.a[0] == 0 or m.b[0] == 0 for m in r.terms)
+    point = sphere_point(n, params)
+    assert sum((zk.modulus_squared() for zk in point), Fraction(0)) == 1
+    assert value_at(r, point) == value_at(p, point)
+
+
+def multinomial_power(n, k):
+    """(1 - sum_{i>=2} z_i z_i~)^k expanded by the multinomial theorem."""
+    terms = {}
+    for js in product(range(k + 1), repeat=n - 1):
+        rest = k - sum(js)
+        if rest < 0:
+            continue
+        coeff = factorial(k) // (factorial(rest) * prod(map(factorial, js)))
+        pairs = (0,) + js
+        terms[ZMonomial(pairs, pairs)] = ExactComplex((-1) ** sum(js) * coeff)
+    return ZPoly(n, terms)
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_power_of_leading_pair_is_multinomial(k):
+    n = 4
+    lead = (k,) + (0,) * (n - 1)
+    reduced = ZPoly(n, {ZMonomial(lead, lead): EC_ONE}).reduce()
+    assert reduced == multinomial_power(n, k)
