@@ -74,6 +74,16 @@ def sum_of_squares(n: int) -> ZPoly:
     return ZPoly(n, terms)
 
 
+Pair = Tuple[ZPoly, ZPoly]
+
+
+def twisted_product(x: Pair, y: Pair) -> Pair:
+    """(x0, x1)(y0, y1) = (x0 y0 + x1 tau(y1), x0 y1 + x1 tau(y0)), unreduced."""
+    x0, x1 = x
+    y0, y1 = y
+    return x0 * y0 + x1 * y1.tau(), x0 * y1 + x1 * y0.tau()
+
+
 class CrossedElem:
     """A canonical element (f0, f1) = f0 x 1 + f1 x tau of the crossed product.
 
@@ -127,9 +137,7 @@ class CrossedElem:
         if isinstance(other, CrossedElem):
             if self.n != other.n:
                 raise DimensionError("dimension mismatch in multiplication")
-            f0 = self.f0 * other.f0 + self.f1 * other.f1.tau()
-            f1 = self.f0 * other.f1 + self.f1 * other.f0.tau()
-            return CrossedElem(f0, f1)
+            return CrossedElem(*twisted_product((self.f0, self.f1), (other.f0, other.f1)))
         if isinstance(other, (ExactComplex, int, Fraction)):
             return CrossedElem(self.f0 * other, self.f1 * other)
         return NotImplemented
@@ -192,6 +200,15 @@ class CrossedElem:
 def pi(p: NCPoly) -> CrossedElem:
     """The faithful representation: the word v_{i1}...v_{ik} goes to the
     monomial z_{i1} z_{i2}~ z_{i3} ... with alternating conjugation."""
+    return CrossedElem(*pi_components(p))
+
+
+def pi_components(p: NCPoly) -> Pair:
+    """The even and odd components of pi(p), before reduction.
+
+    Reduction is a ring homomorphism onto the canonical forms, so products
+    of these pairs (twisted_product) may be reduced once, at the end.
+    """
     n = p.n
     even: Dict[ZMonomial, ExactComplex] = {}
     odd: Dict[ZMonomial, ExactComplex] = {}
@@ -205,7 +222,7 @@ def pi(p: NCPoly) -> CrossedElem:
                 b[letter - 1] += 1
         target = even if len(word) % 2 == 0 else odd
         add_term(target, ZMonomial(a, b), coeff)
-    return CrossedElem(ZPoly(n, even), ZPoly(n, odd))
+    return ZPoly(n, even), ZPoly(n, odd)
 
 
 def nc_equal(p: NCPoly, q: NCPoly) -> bool:

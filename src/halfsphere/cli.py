@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import List
 
-from .algebra import nc_lift, pi
+from .algebra import nc_lift
 from .errors import HalfsphereError, ParseError, PreconditionError
 from .parsing import (
     format_crossed,
@@ -24,6 +24,7 @@ from .parsing import (
     format_value,
     format_zpoly,
     parse_expr,
+    parse_model,
     parse_point,
 )
 from .projective import check_projector_relations, phi_inv
@@ -174,6 +175,11 @@ def _parse_nc(session: Session, text: str):
     return parse_expr(text, session.n).as_nc()
 
 
+def _parse_model(session: Session, text: str):
+    """The canonical image pi(x) of a v-expression, evaluated in the model."""
+    return parse_model(text, session.n)
+
+
 def _point(session: Session, text: str):
     return parse_point(text, session.n, session.mode, session.epsilon)
 
@@ -188,7 +194,7 @@ def _spec(session: Session, gen_texts) -> IdealSpec:
 
 
 def _run_nf(session: Session, args, out: Output) -> int:
-    x = pi(_parse_nc(session, args.expr))
+    x = _parse_model(session, args.expr)
     _emit_session(out, session)
     out.section("nf")
     out.pair("input", args.expr, text=f"input: {args.expr}")
@@ -203,8 +209,8 @@ def _run_nf(session: Session, args, out: Output) -> int:
 
 
 def _run_eq(session: Session, args, out: Output) -> int:
-    left = pi(_parse_nc(session, args.left))
-    right = pi(_parse_nc(session, args.right))
+    left = _parse_model(session, args.left)
+    right = _parse_model(session, args.right)
     equal = left == right
     _emit_session(out, session)
     out.section("eq")
@@ -215,7 +221,7 @@ def _run_eq(session: Session, args, out: Output) -> int:
 
 
 def _run_grade(session: Session, args, out: Output) -> int:
-    x = pi(_parse_nc(session, args.expr))
+    x = _parse_model(session, args.expr)
     even, odd = x.grade()
     _emit_session(out, session)
     out.section("grade")
@@ -232,7 +238,7 @@ def _run_grade(session: Session, args, out: Output) -> int:
 
 def _run_unary(session: Session, args, out: Output) -> int:
     name = args.command
-    x = pi(_parse_nc(session, args.expr))
+    x = _parse_model(session, args.expr)
     result = x.nu() if name == "nu" else x.gamma()
     _emit_session(out, session)
     out.section(name)
@@ -256,7 +262,7 @@ def _run_phi(session: Session, args, out: Output) -> int:
 
 
 def _run_phi_inv(session: Session, args, out: Output) -> int:
-    x = pi(_parse_nc(session, args.expr))
+    x = _parse_model(session, args.expr)
     f = phi_inv(x)
     _emit_session(out, session)
     out.section("phi-inv")
@@ -266,7 +272,7 @@ def _run_phi_inv(session: Session, args, out: Output) -> int:
 
 def _run_theta(session: Session, args, out: Output) -> int:
     z = _point(session, args.point)
-    x = pi(_parse_nc(session, args.expr))
+    x = _parse_model(session, args.expr)
     m = theta(z, x)
     _emit_session(out, session)
     out.section("theta")
@@ -277,7 +283,7 @@ def _run_theta(session: Session, args, out: Output) -> int:
 
 def _run_phirep(session: Session, args, out: Output) -> int:
     y = _point(session, args.point)
-    x = pi(_parse_nc(session, args.expr))
+    x = _parse_model(session, args.expr)
     value = phi_rep(y, x, session.epsilon)
     _emit_session(out, session)
     out.section("phirep")
@@ -288,7 +294,7 @@ def _run_phirep(session: Session, args, out: Output) -> int:
 
 def _run_char(session: Session, args, out: Output) -> int:
     z = _point(session, args.point)
-    x = pi(_parse_nc(session, args.expr))
+    x = _parse_model(session, args.expr)
     value = character(z, x)
     _emit_session(out, session)
     out.section("char")

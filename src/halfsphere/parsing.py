@@ -10,18 +10,23 @@ p alphabets cannot be mixed inside one expression.  Points are comma
 separated scalar literals; a '.' in any coordinate makes the point floating
 and switches that computation to approximate mode.
 
+parse_model evaluates a v-expression straight into the crossed-product
+model: pi(parse_expr(text, n).as_nc()) without expanding sums under products
+and powers in the free algebra, where (v1 + v2 + v3)^k has 3^k words.
+
 Printers are the inverse direction: every canonical object is rendered in a
 unique, reparseable way (z-monomials appear only in output).
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .algebra import CrossedElem, NCPoly, nc_lift
+from .algebra import CrossedElem, NCPoly, nc_lift, pi, pi_components, twisted_product
 from .errors import DimensionError, MixedAlphabetError, ParseError
 from .projective import PExpr
 from .representations import Mat2, SpherePoint
@@ -237,6 +242,9 @@ def _scalar_from_groups(pattern: re.Pattern, m: re.Match, exact: bool):
     return complex(_float_of(re_txt) * (-1 if sign_re == "-" else 1), 0.0)
 
 
+_V_EXPECTED = "expected an expression in the v-generators"
+
+
 @dataclass
 class ParsedExpr:
     kind: str  # "v", "p" or "const"
@@ -246,7 +254,7 @@ class ParsedExpr:
 
     def as_nc(self) -> NCPoly:
         if self.nc is None:
-            raise ParseError("expected an expression in the v-generators", 0)
+            raise ParseError(_V_EXPECTED, 0)
         return self.nc
 
     def as_p(self) -> PExpr:
@@ -297,6 +305,80 @@ def _eval_factor(node, n: int, cls):
             acc = acc * base
         return acc
     raise AssertionError(f"unknown AST node {tag}")
+
+
+def parse_model(text: str, n: int) -> CrossedElem:
+    """pi(parse_expr(text, n).as_nc()), evaluated in the model.
+
+    Terms whose factors are all single terms (a generator, a parenthesised
+    single term, a power of either) multiply as one NCPoly word each and map
+    through pi, as in parse_expr.  A factor holding a sum of two or more
+    terms is evaluated as an unreduced crossed-product pair and multiplied
+    there, powers by squaring, so its image is never expanded word by word;
+    the pairs are reduced once, at the end.
+    """
+    parser = _Parser(text, n)
+    terms = parser.parse()
+    if parser.kind == "p":
+        raise ParseError(_V_EXPECTED, 0)
+    words, sums = _split_terms(terms)
+    x = pi(_eval_terms(words, n, NCPoly))
+    return x + CrossedElem(*_image_terms(sums, n)) if sums else x
+
+
+def _is_word(node) -> bool:
+    """Whether a v-factor evaluates to a single term of the free algebra."""
+    if node[0] == "paren":
+        return len(node[1]) == 1 and all(map(_is_word, node[1][0][1]))
+    if node[0] == "pow":
+        return _is_word(node[1])
+    return True
+
+
+def _split_terms(terms):
+    """(terms of single-term factors only, terms with a sum among their factors)."""
+    words, sums = [], []
+    for t in terms:
+        (words if all(map(_is_word, t[1])) else sums).append(t)
+    return words, sums
+
+
+def _image_terms(terms, n: int):
+    words, sums = _split_terms(terms)
+    f0, f1 = pi_components(_eval_terms(words, n, NCPoly))
+    for coeff, factors in sums:
+        g0, g1 = _image_product(coeff, factors, n)
+        f0, f1 = f0 + g0, f1 + g1
+    return f0, f1
+
+
+def _image_product(coeff: ExactComplex, factors, n: int):
+    """coeff * f_1 * f_2 * ...; each run of single-term factors enters as one word."""
+    chunks = []
+    word = NCPoly.constant(n, coeff)
+    for f in factors:
+        if _is_word(f):
+            word = word * _eval_factor(f, n, NCPoly)
+        else:
+            chunks += [pi_components(word), _image_factor(f, n)]
+            word = NCPoly.one(n)
+    chunks.append(pi_components(word))
+    return functools.reduce(twisted_product, chunks)
+
+
+def _image_factor(node, n: int):
+    """The unreduced image of a sum in parentheses, or of a power of one."""
+    if node[0] == "paren":
+        return _image_terms(node[1], n)
+    base, k = _image_factor(node[1], n), node[2]
+    result = None
+    while True:
+        if k & 1:
+            result = base if result is None else twisted_product(result, base)
+        k >>= 1
+        if not k:
+            return (ZPoly.one(n), ZPoly.zero(n)) if result is None else result
+        base = twisted_product(base, base)
 
 
 def parse_point(

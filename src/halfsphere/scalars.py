@@ -155,7 +155,8 @@ class SparseTerms:
     _key_mul multiplies two, _unit_key is the key of the constants, and
     _key_degree and _sort_key order them.  The defaults below serve tuple
     keys whose degree is their length.  Equality and hashing are structural
-    and never hold between different subclasses.  Each subclass binds
+    and never hold between different subclasses; sums, differences and
+    products across subclasses raise TypeError.  Each subclass binds
     __mul__ and __rmul__ in its own body, so a profiler that wraps methods
     found in one class's __dict__ (as perfbench's tracer does) counts each
     class apart.
@@ -198,6 +199,8 @@ class SparseTerms:
         return cls(n, {cls._unit_key(n): c})
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         if self.n != other.n:
             raise DimensionError("dimension mismatch in addition")
         out = dict(self.terms)
@@ -206,6 +209,8 @@ class SparseTerms:
         return type(self)(self.n, out)
 
     def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self):

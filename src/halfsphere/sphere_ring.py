@@ -206,25 +206,27 @@ class ZPoly(SparseTerms):
     def reduce(self) -> "ZPoly":
         """Normal form modulo z_1 z_1~ -> 1 - sum_{i>=2} z_i z_i~.
 
-        Unique by confluence of the single rule, so the worklist order below
-        cannot affect the result.
+        Monomials are bucketed by redex depth min(a_1, b_1).  One rewrite
+        sends depth d to depth d - 1 exactly (the raised pairs have i >= 2),
+        so draining the buckets from the deepest down merges every path into
+        a monomial before it is expanded, and each distinct monomial is
+        expanded once.  The normal form is unique by confluence of the single
+        rule, whatever the order.
         """
         if self._reduced:
             return self
-        work = dict(self.terms)
-        out: Dict[ZMonomial, ExactComplex] = {}
-        while work:
-            m, c = work.popitem()
-            if c.is_zero():
-                continue
-            if m.has_redex():
+        levels: Dict[int, Dict[ZMonomial, ExactComplex]] = {}
+        for m, c in self.terms.items():
+            levels.setdefault(min(m.a[0], m.b[0]), {})[m] = c
+        for depth in range(max(levels), 0, -1):
+            lower = levels.setdefault(depth - 1, {})
+            for m, c in levels.pop(depth, {}).items():
                 base = m.strip_leading_pair()
-                add_term(work, base, c)
+                add_term(lower, base, c)
+                neg = -c
                 for i in range(1, self.n):
-                    add_term(work, base.raised_pair(i), -c)
-            else:
-                add_term(out, m, c)
-        result = ZPoly(self.n, out)
+                    add_term(lower, base.raised_pair(i), neg)
+        result = ZPoly(self.n, levels[0])
         result._reduced = True
         return result
 

@@ -581,11 +581,35 @@ _GOLDEN_CASES: List[Tuple[str, List[str]]] = [
         ],
     ),
     ("projcheck", ["--n", "4", "--format", "structured", "projcheck"]),
+    ("nu", ["--n", "2", "--format", "structured", "nu", "v1 + v1*v2"]),
+    ("gamma", ["--n", "2", "--format", "structured", "gamma", "v1 + v1*v2"]),
+    ("phi", ["--n", "3", "--format", "structured", "phi", "p12*p23 - 1/2*p31 + i*p11"]),
+    (
+        "span",
+        ["--n", "2", "--degree", "4", "--format", "structured", "span", "v1*v2 - v2*v1"],
+    ),
+    (
+        "vanish",
+        ["--n", "2", "--degree", "3", "--format", "structured", "vanish", "--", "3/5,4/5i"],
+    ),
+    ("classify", ["--n", "2", "--format", "structured", "classify", "3/5i,4/5i"]),
+    (
+        "nf_power_word",
+        ["--n", "4", "--format", "structured", "nf", "(3/4+1/2i)*v1^13*v2*v3"],
+    ),
+    (
+        "nf_power_sum",
+        ["--n", "3", "--format", "structured", "nf", "((2/3)*v1 + (1-1/2i)*v2 - (3/4)*v3)^7"],
+    ),
 ]
 
 
 def golden_cases() -> List[Tuple[str, List[str]]]:
-    """The fixed CLI invocations pinned by golden files in the test battery."""
+    """The fixed CLI invocations pinned by tests/golden/<name>.txt.
+
+    This is the one list of golden cases: the cli_golden suite and the test
+    battery both read it.
+    """
     return [(name, list(argv)) for name, argv in _GOLDEN_CASES]
 
 
@@ -593,7 +617,7 @@ def _suite_cli_golden(rng: Random) -> SuiteResult:
     from . import cli
 
     details = []
-    for name, argv in _GOLDEN_CASES:
+    for name, argv in golden_cases():
         code1, text1 = cli.run(argv)
         code2, text2 = cli.run(argv)
         if (code1, text1) != (code2, text2):
@@ -608,7 +632,7 @@ def _suite_cli_golden(rng: Random) -> SuiteResult:
     return SuiteResult(
         "cli_golden",
         True,
-        "nf/eq/pair/projcheck structured outputs are bit-identical across runs",
+        f"all {len(details)} golden structured outputs are bit-identical across runs",
         details,
     )
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from halfsphere.cli import main, run
+from halfsphere.verify import golden_cases
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -34,21 +35,7 @@ def kv(text):
 # ----------------------------------------------------------------------
 # golden files
 
-GOLDEN_ARGS = {
-    "nf": ["--n", "3", "--format", "structured", "nf", "v2*v1*v1 - v1*v2*v3 + v3"],
-    "eq": ["--n", "3", "--format", "structured", "eq", "v1*v2*v3", "v3*v2*v1"],
-    "pair": ["--n", "2", "--degree", "4", "--seed", "5", "--format", "structured",
-             "pair", "v1*v2 - v2*v1"],
-    "projcheck": ["--n", "4", "--format", "structured", "projcheck"],
-    "nu": ["--n", "2", "--format", "structured", "nu", "v1 + v1*v2"],
-    "gamma": ["--n", "2", "--format", "structured", "gamma", "v1 + v1*v2"],
-    "phi": ["--n", "3", "--format", "structured", "phi", "p12*p23 - 1/2*p31 + i*p11"],
-    "span": ["--n", "2", "--degree", "4", "--format", "structured",
-             "span", "v1*v2 - v2*v1"],
-    "vanish": ["--n", "2", "--degree", "3", "--format", "structured",
-               "vanish", "--", "3/5,4/5i"],
-    "classify": ["--n", "2", "--format", "structured", "classify", "3/5i,4/5i"],
-}
+GOLDEN_ARGS = dict(golden_cases())
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_ARGS))
@@ -58,6 +45,10 @@ def test_golden_output(name):
     want = (GOLDEN_DIR / f"{name}.txt").read_text()
     got = text if text.endswith("\n") else text + "\n"
     assert got == want
+
+
+def test_every_golden_file_has_a_case():
+    assert {p.stem for p in GOLDEN_DIR.glob("*.txt")} == set(GOLDEN_ARGS)
 
 
 def test_structured_output_deterministic():
@@ -241,10 +232,12 @@ def test_session_header_reflects_flags():
 # exit codes through main()
 
 
-def _main_quiet(argv):
-    with contextlib.redirect_stderr(io.StringIO()):
+def _main_stderr(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
         with contextlib.redirect_stdout(io.StringIO()):
-            return main(argv)
+            code = main(argv)
+    return code, err.getvalue()
 
 
 # argv -> the exact stderr line; every expression-taking command is covered
@@ -267,14 +260,6 @@ PARSE_ERRORS = {
         "expected an expression in the v-generators (at position 0)",
     ("--n", "2", "char", "3/5,4/5i", "v0"): "generator index 0 out of range 1..2 (at position 2)",
 }
-
-
-def _main_stderr(argv):
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = main(argv)
-    return code, err.getvalue()
 
 
 @pytest.mark.parametrize("argv", [list(argv) for argv in PARSE_ERRORS])
@@ -308,7 +293,7 @@ def test_constant_only_expressions():
     ],
 )
 def test_precondition_errors_exit_3(argv):
-    assert _main_quiet(argv) == 3
+    assert _main_stderr(argv)[0] == 3
 
 
 def test_usage_error_exits_2():

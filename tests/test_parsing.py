@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from halfsphere.algebra import NCPoly, pi
+from halfsphere.cli import run
 from halfsphere.errors import DimensionError, MixedAlphabetError, ParseError
 from halfsphere.parsing import (
     format_ncpoly,
@@ -15,6 +16,7 @@ from halfsphere.parsing import (
     format_scalar,
     format_zpoly,
     parse_expr,
+    parse_model,
     parse_point,
 )
 from halfsphere.projective import PExpr
@@ -231,54 +233,64 @@ SCALAR_TEXTS = ("2", "1/2", "i", "2/3i", "1-1/2i", "3/4+1/2i")
 
 @st.composite
 def v_expression(draw, n, depth=2):
-    """(text, bound): a v-expression and an upper bound on its expanded word count.
+    """(text, words, degree): a v-expression with upper bounds on the word
+    count and the word length of its free-algebra expansion.
 
     Terms mix bare and parenthesised coefficients, constants, generators,
-    nested parentheses and powers up to 4 (including ^0 and stacked powers).
+    nested parentheses and powers up to 6 (including ^0 and stacked powers).
     """
 
     def factor(depth):
         if depth > 0 and draw(st.booleans()):
-            text, bound = draw(v_expression(n, depth - 1))
-            text, bound = f"({text})", bound
+            text, words, degree = draw(v_expression(n, depth - 1))
+            text = f"({text})"
         elif draw(st.integers(0, 4)) == 0:
-            text, bound = f"({draw(st.sampled_from(SCALAR_TEXTS))})", 1
+            text, words, degree = f"({draw(st.sampled_from(SCALAR_TEXTS))})", 1, 0
         else:
-            text, bound = f"v{draw(st.integers(1, n))}", 1
+            text, words, degree = f"v{draw(st.integers(1, n))}", 1, 1
         for _ in range(draw(st.integers(0, 2))):
-            k = draw(st.integers(0, 4))
-            text, bound = f"{text}^{k}", bound**k
-        return text, bound
+            k = draw(st.integers(0, 6))
+            # ^0 still evaluates its base
+            text, words, degree = f"{text}^{k}", max(words, words**k), max(degree, degree * k)
+        return text, words, degree
 
     def term(depth):
-        parts, bound = [], 1
+        parts, words, degree = [], 1, 0
         if draw(st.booleans()):
             parts.append(draw(st.sampled_from(SCALAR_TEXTS)))
         for _ in range(draw(st.integers(0 if parts else 1, 3))):
-            text, b = factor(depth)
+            text, w, d = factor(depth)
             parts.append(text)
-            bound *= b
-        return draw(st.sampled_from(["*", " ", ""])).join(parts), bound
+            words, degree = words * w, degree + d
+        return draw(st.sampled_from(["*", " ", ""])).join(parts), words, degree
 
-    text, bound = term(depth)
+    text, words, degree = term(depth)
     if draw(st.booleans()):
         text = "-" + text
     for _ in range(draw(st.integers(0, 2))):
-        more, b = term(depth)
-        text, bound = f"{text} {draw(st.sampled_from('+-'))} {more}", bound + b
-    return text, bound
+        more, w, d = term(depth)
+        text = f"{text} {draw(st.sampled_from('+-'))} {more}"
+        words, degree = words + w, max(degree, d)
+    return text, words, degree
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_model_evaluation_matches_free_algebra(data):
-    from halfsphere.cli import run
-
     n = data.draw(st.sampled_from([2, 3, 4]))
-    text, bound = data.draw(v_expression(n))
-    assume(bound <= 400)
+    text, words, degree = data.draw(v_expression(n))
+    assume(words <= 300 and degree <= 24)
     want = pi(parse_expr(text, n).as_nc())
+    assert parse_model(text, n) == want, text
     code, out = run(["--n", str(n), "--format", "structured", "nf", "--", text])
     assert code == 0
     assert f"even = {format_zpoly(want.f0)}" in out.splitlines(), text
     assert f"odd = {format_zpoly(want.f1)}" in out.splitlines(), text
+
+
+# every branch of the squaring loop, which the property rarely reaches
+@pytest.mark.parametrize("k", range(9))
+def test_model_powers_of_sums(k):
+    for n, base in [(2, "v1 + v2"), (3, "(1/2)*v1 - i*v2*v3 + 2")]:
+        text = f"v1*({base})^{k}*(3/4+1/2i)"
+        assert parse_model(text, n) == pi(parse_expr(text, n).as_nc()), text
