@@ -456,7 +456,7 @@ def _run_verify(session: Session, args, out: Output) -> int:
         if out.fmt == "structured":
             out.pair(r.name, status.lower())
         else:
-            out.text(f"{r.name}: {status} ({r.summary})")
+            out.text(f"{r.name}: {status} ({r.summary}) [{r.seconds:.2f} s]")
             for line in r.details:
                 out.text(f"    {line}")
     return 0 if ok else 1

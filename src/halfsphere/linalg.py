@@ -5,6 +5,11 @@ Echelon class keeps a reduced row echelon form incrementally: each stored row
 has pivot coefficient one and no support on any other pivot column, so the
 row set is the unique RREF of everything inserted and dict equality of rows
 decides span equality.
+
+nullspace returns the kernel in that same form without a second elimination:
+it eliminates the functionals on reversed column order, so each of their
+pivots is the last column of its row, and the kernel vector of a free column
+f then starts at f and meets no other free column.
 """
 
 from __future__ import annotations
@@ -88,18 +93,26 @@ def echelon_from(vectors: Iterable[Vector]) -> Echelon:
     return ech
 
 
-def nullspace(rows: Iterable[Vector], ncols: int) -> List[Vector]:
-    """Basis of the joint kernel of the given functionals on Q(i)^ncols."""
-    ech = echelon_from(rows)
-    pivot_cols = set(ech.pivots)
-    kernel: List[Vector] = []
+def nullspace(rows: Iterable[Vector], ncols: int) -> Echelon:
+    """The joint kernel of the given functionals on Q(i)^ncols, as an Echelon.
+
+    The functionals are row reduced on reversed column order, so each pivot p
+    is the last column of its row.  The kernel vector of a free column f is
+    e_f - sum_p row_p[f] e_p, and row_p[f] != 0 only for p > f: the vector
+    has its lowest column at f with coefficient one, and no other kernel
+    vector has support on f.  That is the unique RREF of the kernel.
+    """
+    last = ncols - 1
+    flipped = echelon_from({last - c: x for c, x in r.items()} for r in rows)
+    pivot_rows = {last - q: row for q, row in flipped.pivots.items()}
+    kernel = Echelon()
     for free in range(ncols):
-        if free in pivot_cols:
+        if free in pivot_rows:
             continue
         vec: Vector = {free: EC_ONE}
-        for p, row in ech.pivots.items():
-            coef = row.get(free)
+        for p, row in pivot_rows.items():
+            coef = row.get(last - free)
             if coef is not None:
                 vec[p] = -coef
-        kernel.append(vec)
+        kernel.pivots[free] = vec
     return kernel

@@ -299,6 +299,9 @@ def _eval_factor(node, n: int, cls):
     if tag == "paren":
         return _eval_terms(node[1], n, cls)
     if tag == "pow":
+        if node[2] == 0:
+            # the parser has already checked the base's indices and alphabet
+            return cls.one(n)
         base = _eval_factor(node[1], n, cls)
         acc = cls.one(n)
         for _ in range(node[2]):
@@ -370,14 +373,16 @@ def _image_factor(node, n: int):
     """The unreduced image of a sum in parentheses, or of a power of one."""
     if node[0] == "paren":
         return _image_terms(node[1], n)
-    base, k = _image_factor(node[1], n), node[2]
-    result = None
+    k = node[2]
+    if k == 0:
+        return ZPoly.one(n), ZPoly.zero(n)
+    base, result = _image_factor(node[1], n), None
     while True:
         if k & 1:
             result = base if result is None else twisted_product(result, base)
         k >>= 1
         if not k:
-            return (ZPoly.one(n), ZPoly.zero(n)) if result is None else result
+            return result
         base = twisted_product(base, base)
 
 

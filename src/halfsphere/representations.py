@@ -244,8 +244,8 @@ def theta(z: SpherePoint, x: CrossedElem) -> Mat2:
     """The 2-dimensional representation attached to z."""
     _check_dims(z, x)
     if z.exact:
-        zc = list(z.coords)
-        zb = [c.conj() for c in z.coords]
+        zc = z.coords
+        zb = tuple(c.conj() for c in z.coords)
         return Mat2(
             x.f0.evaluate(zc),
             x.f1.evaluate(zc),
@@ -268,7 +268,7 @@ def phi_rep(y: SpherePoint, x: CrossedElem, eps: float = DEFAULT_EPSILON):
     if classify_point(y, eps).tag != REAL:
         raise PreconditionError("phi_rep requires a real point")
     if y.exact:
-        return x.f0.evaluate(list(y.coords)) + x.f1.evaluate(list(y.coords))
+        return x.f0.evaluate(y.coords) + x.f1.evaluate(y.coords)
     return x.f0.evaluate_float(list(y.coords)) + x.f1.evaluate_float(list(y.coords))
 
 

@@ -14,11 +14,20 @@ z_1 > z_1~ > z_2 > z_2~ > ...  One linear relation is trivially a Groebner
 basis, so a polynomial is canonical exactly when no monomial contains both
 z_1 and z_1~, and normal forms are unique.  Reduction is lazy: arithmetic
 never reduces on its own, callers invoke reduce() where canonicality matters.
+
+Exact evaluation goes through a small table per point (point_table): the
+powers z_i^e, z_i~^e and the value of each monomial are computed once per
+point and shared by every polynomial evaluated there.  Classifying a sample
+evaluates dozens of polynomials at the same few points, over the same
+truncation monomials, so the table turns each term into one multiplication.
+Only the last few points are kept.  Float evaluation multiplies out each
+term directly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Sequence
+from functools import lru_cache
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import DimensionError
 from .scalars import EC_ONE, EC_ZERO, ExactComplex, SparseTerms, add_term
@@ -92,7 +101,7 @@ class ZMonomial:
         return ZMonomial(a, self.b)
 
     def evaluate(self, coords: Sequence, conj: Sequence, scale):
-        """scale * z^a * z~^b with z = coords and z~ = conj, exact or float."""
+        """scale * z^a * z~^b with z = coords and z~ = conj (float points)."""
         v = scale
         for i, e in enumerate(self.a):
             if e:
@@ -112,6 +121,47 @@ class ZMonomial:
 
     def __repr__(self) -> str:
         return f"ZMonomial({self.a}, {self.b})"
+
+
+class PointTable:
+    """Powers and monomial values at one exact point, each computed once.
+
+    Entries are only ever added, each with its final value, so callers in
+    different threads may share a table.
+    """
+
+    __slots__ = ("_powers", "_values")
+
+    def __init__(self, coords: Tuple[ExactComplex, ...]):
+        # _powers[0][i][e] = z_i^e and _powers[1][i][e] = z_i~^e, filled on demand
+        self._powers: Tuple[List[Dict[int, ExactComplex]], ...] = (
+            [{0: EC_ONE, 1: c} for c in coords],
+            [{0: EC_ONE, 1: c.conj()} for c in coords],
+        )
+        self._values: Dict[ZMonomial, ExactComplex] = {}
+
+    def value(self, m: ZMonomial) -> ExactComplex:
+        """z^a z~^b at this point."""
+        v = self._values.get(m)
+        if v is None:
+            v = EC_ONE
+            for powers, exps in zip(self._powers, (m.a, m.b)):
+                for i, e in enumerate(exps):
+                    if e:
+                        pw = powers[i]
+                        p = pw.get(e)
+                        if p is None:
+                            prev = pw.get(e - 1)
+                            p = pw[e] = prev * pw[1] if prev is not None else pw[1] ** e
+                        v = p if v is EC_ONE else v * p
+            self._values[m] = v
+        return v
+
+
+@lru_cache(maxsize=8)
+def point_table(coords: Tuple[ExactComplex, ...]) -> PointTable:
+    """The shared table of the exact point coords (a tuple, used as the key)."""
+    return PointTable(coords)
 
 
 def _unit_monomial(n: int) -> ZMonomial:
@@ -235,10 +285,10 @@ class ZPoly(SparseTerms):
 
     def evaluate(self, coords: Sequence[ExactComplex]) -> ExactComplex:
         self._check_point(coords)
-        conj = [c.conj() for c in coords]
+        value = point_table(tuple(coords)).value
         total = EC_ZERO
         for m, coeff in self.terms.items():
-            total = total + m.evaluate(coords, conj, coeff)
+            total = total + coeff * value(m)
         return total
 
     def evaluate_float(self, coords: Sequence[complex]) -> complex:

@@ -30,8 +30,8 @@ from .representations import (
     phi_rep,
     theta,
 )
-from .scalars import DEFAULT_EPSILON, EC_ONE, ExactComplex
-from .sphere_ring import ZMonomial, reduced_monomials
+from .scalars import DEFAULT_EPSILON, ExactComplex
+from .sphere_ring import ZMonomial, point_table, reduced_monomials
 
 
 class TruncationBasis:
@@ -393,12 +393,11 @@ def vanishing_ideal(
             raise PreconditionError("vanishing_ideal requires exact points")
         if z.n != n:
             raise DimensionError("point dimension does not match n")
-        zc = list(z.coords)
-        zb = [c.conj() for c in z.coords]
+        at_z = point_table(tuple(z.coords)).value
         if classify_point(z).tag == REAL:
             row: Vector = {}
             for idx, (grade, m) in enumerate(tb.columns):
-                val = m.evaluate(zc, zb, EC_ONE)
+                val = at_z(m)
                 if not val.is_zero():
                     row[idx] = val
             rows.append(row)
@@ -407,22 +406,21 @@ def vanishing_ideal(
             r01: Vector = {}
             r10: Vector = {}
             r11: Vector = {}
+            at_zb = point_table(tuple(c.conj() for c in z.coords)).value
             for idx, (grade, m) in enumerate(tb.columns):
-                at_z = m.evaluate(zc, zb, EC_ONE)
-                at_zb = m.evaluate(zb, zc, EC_ONE)
+                vz, vzb = at_z(m), at_zb(m)
                 if grade == 0:
-                    if not at_z.is_zero():
-                        r00[idx] = at_z
-                    if not at_zb.is_zero():
-                        r11[idx] = at_zb
+                    if not vz.is_zero():
+                        r00[idx] = vz
+                    if not vzb.is_zero():
+                        r11[idx] = vzb
                 else:
-                    if not at_z.is_zero():
-                        r01[idx] = at_z
-                    if not at_zb.is_zero():
-                        r10[idx] = at_zb
+                    if not vz.is_zero():
+                        r01[idx] = vz
+                    if not vzb.is_zero():
+                        r10[idx] = vzb
             rows.extend(r for r in (r00, r01, r10, r11) if r)
-    kernel = nullspace(rows, tb.column_count)
-    return SpanBasis(tb, echelon_from(kernel))
+    return SpanBasis(tb, nullspace(rows, tb.column_count))
 
 
 def lift_basis(span: SpanBasis) -> List[NCPoly]:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, product as iproduct
 from random import Random
+from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .algebra import CrossedElem, NCPoly, pi
@@ -61,6 +62,7 @@ class SuiteResult:
     passed: bool
     summary: str
     details: List[str] = field(default_factory=list)
+    seconds: float = 0.0  # wall time of the suite, set by run_suite
 
 
 # ----------------------------------------------------------------------
@@ -660,7 +662,10 @@ def suite_names() -> List[str]:
 def run_suite(name: str, seed: int = 0) -> SuiteResult:
     for suite_name, fn in _SUITES:
         if suite_name == name:
-            return fn(Random(f"{seed}:{suite_name}"))
+            start = perf_counter()
+            result = fn(Random(f"{seed}:{suite_name}"))
+            result.seconds = perf_counter() - start
+            return result
     raise KeyError(f"unknown suite {name!r}")
 
 

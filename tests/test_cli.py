@@ -6,6 +6,7 @@ values are frozen strings checked against the structured format.
 
 import io
 import contextlib
+import re
 from pathlib import Path
 
 import pytest
@@ -218,6 +219,21 @@ def test_verify_single_suite():
     code, text = run(["--n", "3", "--format", "structured", "verify", "relations"])
     assert code == 0
     assert kv(text)["relations"] == "pass"
+
+
+def test_verify_text_reports_suite_wall_time():
+    code, text = run(["--n", "3", "verify", "relations"])
+    assert code == 0
+    lines = [line for line in text.splitlines() if line.startswith("relations:")]
+    assert len(lines) == 1
+    assert re.fullmatch(r"relations: PASS \(.+\) \[\d+\.\d\d s\]", lines[0])
+
+
+def test_verify_structured_output_has_no_timing():
+    code, text = run(["--n", "3", "--format", "structured", "verify", "relations"])
+    assert code == 0
+    assert "relations = pass" in text.splitlines()
+    assert " s]" not in text and "seconds" not in text
 
 
 def test_session_header_reflects_flags():

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from random import Random
+from time import perf_counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -91,6 +92,23 @@ def test_index_out_of_range():
         parse_expr("v4", 3)
     with pytest.raises(ParseError):
         parse_expr("p13", 2)
+
+
+def test_zeroth_power_skips_its_base():
+    text = "((v1 + v2*v1 + v2^2*v1)^3^3)^0"  # the base alone expands to 3^9 words
+    start = perf_counter()
+    assert parse_expr(text, 2).as_nc() == NCPoly.one(2)
+    assert parse_model(text, 2) == pi(NCPoly.one(2))
+    assert perf_counter() - start < 0.2
+    assert parse_expr("v2*(v1 + v2)^0*v1", 2).as_nc() == parse_expr("v2*v1", 2).as_nc()
+
+
+def test_zeroth_power_still_checks_its_base():
+    for parse in (parse_expr, parse_model):
+        with pytest.raises(ParseError, match="generator index 9 out of range 1..2"):
+            parse("(v9)^0 + v1", 2)
+        with pytest.raises(MixedAlphabetError):
+            parse("(p12)^0 + v1", 2)
 
 
 def test_parse_error_position():

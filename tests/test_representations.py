@@ -4,6 +4,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from halfsphere.algebra import NCPoly, pi
 from halfsphere.errors import PreconditionError
@@ -177,3 +178,42 @@ def test_scale_validates():
         REGULAR_PT.scale(ec(2))
     with pytest.raises(PreconditionError):
         REGULAR_PT.scale(0.5j)  # exact point needs an exact scalar
+
+
+# -- multiplicativity at exact sphere points ------------------------------
+
+small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+def ncpolys(n):
+    word = st.lists(st.integers(1, n), max_size=4).map(tuple)
+    term = st.tuples(word, st.builds(ExactComplex, small_rationals, small_rationals))
+    return st.lists(term, min_size=1, max_size=3).map(lambda ts: NCPoly(n, dict(ts)))
+
+
+def unit_point(params, n):
+    """An exact point of S^{2n-1}: real and imaginary parts from one rational unit vector."""
+    xs = rational_unit_vector(params)
+    return SpherePoint.from_exact([ExactComplex(xs[2 * k], xs[2 * k + 1]) for k in range(n)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_theta_and_phi_are_multiplicative_at_exact_points(data):
+    n = data.draw(st.sampled_from([2, 3]))
+    a, b = data.draw(ncpolys(n)), data.draw(ncpolys(n))
+    params = st.lists(small_rationals, min_size=2 * n - 1, max_size=2 * n - 1)
+    points = [unit_point(data.draw(params), n) for _ in range(2)]
+    points += [z.conjugate() for z in points]
+    y = SpherePoint.from_exact(
+        [ExactComplex(x) for x in rational_unit_vector(data.draw(params)[: n - 1])]
+    )
+    pa, pb = pi(a), pi(b)
+    # each image is evaluated twice, at z and at conj(z), in varying order
+    for _ in range(2):
+        for z in points:
+            product = theta(z, pa) * theta(z, pb)
+            assert theta(z, pi(a * b)).entries() == product.entries()
+            assert theta(z, pa * pb).entries() == product.entries()
+        assert phi_rep(y, pi(a * b)) == phi_rep(y, pa) * phi_rep(y, pb)
+        assert phi_rep(y, pa * pb) == phi_rep(y, pa) * phi_rep(y, pb)

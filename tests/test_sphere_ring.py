@@ -210,3 +210,29 @@ def test_power_of_leading_pair_is_multinomial(k):
     lead = (k,) + (0,) * (n - 1)
     reduced = ZPoly(n, {ZMonomial(lead, lead): EC_ONE}).reduce()
     assert reduced == multinomial_power(n, k)
+
+
+# -- exact evaluation against the term-by-term oracle ---------------------
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_evaluate_matches_term_by_term_at_points_and_conjugates(data):
+    # a wrongly keyed or stale per-point table shows as a mismatch between
+    # the two passes, between z and conj(z), or after the table is evicted
+    n = data.draw(st.sampled_from([2, 3, 4]))
+    term = st.tuples(deep_monomials(n), st.builds(ExactComplex, small_rationals, small_rationals))
+    polys = [
+        ZPoly(n, dict(data.draw(st.lists(term, min_size=1, max_size=4))))
+        for _ in range(2)
+    ]
+    params = st.lists(small_rationals, min_size=2 * n - 1, max_size=2 * n - 1)
+    points = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        point = sphere_point(n, data.draw(params))
+        points += [point, [zk.conj() for zk in point]]
+    want = [[value_at(p, point) for p in polys] for point in points]
+    for _ in range(2):
+        for point, values in zip(points, want):
+            for p, value in zip(polys, values):
+                assert p.evaluate(point) == value
