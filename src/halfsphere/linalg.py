@@ -32,17 +32,20 @@ class Echelon:
         return len(self.pivots)
 
     def reduce_vector(self, vec: Vector) -> Vector:
-        """Residue of vec modulo the current row space (vec is not mutated)."""
+        """Residue of vec modulo the current row space (vec is not mutated).
+
+        Stored rows have no support on any other pivot column, so
+        subtracting one never creates a new pivot hit: the pivot columns to
+        clear are exactly those of vec, each cleared once, in any order.
+        """
         v = dict(vec)
-        while True:
-            hit = [c for c in v if c in self.pivots]
-            if not hit:
-                return v
-            col = min(hit)
+        pivots = self.pivots
+        for col in [c for c in vec if c in pivots]:
             ncoef = -v.pop(col)
-            for c, rc in self.pivots[col].items():
+            for c, rc in pivots[col].items():
                 if c != col:
                     add_term(v, c, ncoef * rc)
+        return v
 
     def contains(self, vec: Vector) -> bool:
         return not self.reduce_vector(vec)

@@ -8,9 +8,16 @@ span of {pi(m1 * g * m2)} over all noncommutative words m1, m2 subject to
 implementation closes the seed pi(g) under single-letter left and right
 multiplications while tracking the remaining degree budget of each element;
 elements already in the span are not expanded, which loses nothing because
-left and right multiplication are linear and every spanning element sitting
-in the echelon has at least as much remaining budget as the element it
-absorbed.  The resulting subspace is identical to the literal enumeration.
+every step is a linear map and every spanning element sitting in the echelon
+has at least as much remaining budget as the element it absorbed.  The
+resulting subspace is identical to the literal enumeration.
+
+The closure runs on coordinate vectors.  Multiplying by a generator v_i on
+either side is a fixed linear map on the truncation's columns: a canonical
+monomial times one letter has at most one redex, so each column goes to one
+column with sign +1, or to n columns with signs +1, -1, ..., -1.  Each
+TruncationBasis builds these shift tables once, and a step is one table
+lookup per term.
 """
 
 from __future__ import annotations
@@ -30,8 +37,11 @@ from .representations import (
     phi_rep,
     theta,
 )
-from .scalars import DEFAULT_EPSILON, ExactComplex
+from .scalars import DEFAULT_EPSILON, ExactComplex, add_term
 from .sphere_ring import ZMonomial, point_table, reduced_monomials
+
+# column -> the (column, +-1) terms of its product with one generator
+ShiftTable = Dict[int, Tuple[Tuple[int, int], ...]]
 
 
 class TruncationBasis:
@@ -41,7 +51,7 @@ class TruncationBasis:
     element of degree <= D reduces against pivots of degree <= D only.
     """
 
-    __slots__ = ("n", "d", "columns", "index")
+    __slots__ = ("n", "d", "columns", "index", "_shifts")
 
     def __init__(self, n: int, d: int):
         self.n = n
@@ -53,6 +63,7 @@ class TruncationBasis:
         cols.sort(key=lambda c: (c[1].degree, c[0]) + c[1].sort_key()[1:], reverse=True)
         self.columns = cols
         self.index = {c: i for i, c in enumerate(cols)}
+        self._shifts: Dict[Tuple[int, int], ShiftTable] = {}
 
     @property
     def column_count(self) -> int:
@@ -81,6 +92,44 @@ class TruncationBasis:
             grade, m = self.columns[idx]
             (even if grade == 0 else odd)[m] = c
         return CrossedElem(ZPoly(self.n, even), ZPoly(self.n, odd))
+
+    def shift(self, side: int, i: int) -> ShiftTable:
+        """Multiplication by v_i on the left (side 0) or the right (side 1).
+
+        Maps each column of degree < d to the signed columns of its product;
+        columns of degree d have no entry.  Built on first use.
+        """
+        table = self._shifts.get((side, i))
+        if table is None:
+            table = self._shifts[(side, i)] = self._build_shift(side, i)
+        return table
+
+    def _build_shift(self, side: int, i: int) -> ShiftTable:
+        if not 1 <= i <= self.n:
+            raise DimensionError(f"generator index {i} out of range 1..{self.n}")
+        unit = [0] * self.n
+        unit[i - 1] = 1
+        z = ZMonomial(unit, (0,) * self.n)
+        zb = z.swapped()
+        table: ShiftTable = {}
+        for col, (grade, m) in enumerate(self.columns):
+            if m.degree == self.d:
+                continue
+            # (0, z_i)(f0, f1) = (z_i tau(f1), z_i tau(f0))
+            # (f0, f1)(0, z_i) = (f1 z_i~, f0 z_i)
+            if side == 0:
+                prod = m.swapped() * z
+            else:
+                prod = m * (z if grade == 0 else zb)
+            # m is canonical, so the product has redex depth at most one
+            if prod.has_redex():
+                base = prod.strip_leading_pair()
+                terms = [(base, 1)]
+                terms += [(base.raised_pair(j), -1) for j in range(1, self.n)]
+            else:
+                terms = [(prod, 1)]
+            table[col] = tuple((self.index[(1 - grade, t)], sign) for t, sign in terms)
+        return table
 
 
 @lru_cache(maxsize=32)
@@ -160,72 +209,64 @@ class SpanBasis:
 
 def _closure(
     tb: TruncationBasis,
-    ech: Echelon,
-    seeds: Sequence[Tuple[CrossedElem, int]],
-    left_steps: Sequence[Tuple[CrossedElem, int]],
-    right_steps: Sequence[Tuple[CrossedElem, int]],
-):
-    """Close the seeds under the given multiplications within degree budgets.
+    gens: Sequence[NCPoly],
+    steps: Sequence[Tuple[ShiftTable, ...]],
+) -> Echelon:
+    """Span of the images pi(g) closed under the steps within degree budgets.
 
-    Each pending element carries its remaining formal budget; levels are
-    processed in descending budget order so that whenever an element reduces
-    to zero against the echelon, the rows absorbing it all carry at least as
-    much budget and their expansions subsume its own.
+    A step is a sequence of shift tables applied in turn and costs one unit
+    of budget per table.  Each pending vector carries its remaining budget,
+    starting at d - deg(g); levels are processed in descending budget order,
+    so whenever a vector reduces to zero against the echelon, the rows
+    absorbing it all carry at least as much budget, and since every step is
+    linear their expansions subsume its own.  A vector of budget b has degree
+    at most d - b, so a step never meets a column of degree d.
     """
-    if not seeds:
-        return
-    pending: Dict[int, List[CrossedElem]] = {}
-    for elem, budget in seeds:
+    ech = Echelon()
+    pending: Dict[int, List[Vector]] = {}
+    for g in gens:
+        if g.is_zero():
+            continue
+        budget = tb.d - g.degree
         if budget < 0:
             raise PreconditionError("degree bound must cover every seed")
-        pending.setdefault(budget, []).append(elem)
+        pending.setdefault(budget, []).append(tb.vector(pi(g)))
     seen = set()
-    top = max(pending)
-    for level in range(top, -1, -1):
-        batch = pending.pop(level, [])
-        fresh: List[CrossedElem] = []
-        for elem in batch:
-            if elem.is_zero() or elem in seen:
+    for level in range(max(pending, default=-1), -1, -1):
+        fresh: List[Vector] = []
+        for vec in pending.pop(level, []):
+            # v_i g v_j is reached both ways
+            key = frozenset(vec.items())
+            if not vec or key in seen:
                 continue
-            seen.add(elem)
-            if ech.insert(tb.vector(elem)):
-                fresh.append(elem)
-        for elem in fresh:
-            for step, cost in left_steps:
-                if level >= cost:
-                    pending.setdefault(level - cost, []).append(step * elem)
-            for step, cost in right_steps:
-                if level >= cost:
-                    pending.setdefault(level - cost, []).append(elem * step)
+            seen.add(key)
+            if ech.insert(vec):
+                fresh.append(vec)
+        for vec in fresh:
+            for step in steps:
+                if level >= len(step):
+                    out = vec
+                    for table in step:
+                        out = _apply_shift(table, out)
+                    pending.setdefault(level - len(step), []).append(out)
+    return ech
 
 
-def _generator_steps(n: int) -> List[Tuple[CrossedElem, int]]:
-    return [(CrossedElem.generator(n, i), 1) for i in range(1, n + 1)]
-
-
-def _even_pair_steps(n: int) -> List[Tuple[CrossedElem, int]]:
-    steps = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            steps.append(
-                (CrossedElem.generator(n, i) * CrossedElem.generator(n, j), 2)
-            )
-    return steps
+def _apply_shift(table: ShiftTable, vec: Vector) -> Vector:
+    out: Vector = {}
+    for col, x in vec.items():
+        for target, sign in table[col]:
+            add_term(out, target, x if sign > 0 else -x)
+    return out
 
 
 @lru_cache(maxsize=64)
 def ideal_span(spec: IdealSpec) -> SpanBasis:
     """Row-reduced span of {pi(m1 g m2) : |m1| + deg(g) + |m2| <= d}."""
     tb = _basis(spec.n, spec.degree_bound)
-    ech = Echelon()
-    seeds = [
-        (pi(g), spec.degree_bound - g.degree)
-        for g in spec.generators
-        if not g.is_zero()
-    ]
-    steps = _generator_steps(spec.n)
-    _closure(tb, ech, seeds, steps, steps)
-    return SpanBasis(tb, ech)
+    letters = range(1, spec.n + 1)
+    steps = [(tb.shift(side, i),) for side in (0, 1) for i in letters]
+    return SpanBasis(tb, _closure(tb, spec.generators, steps))
 
 
 def even_ideal_span(
@@ -241,11 +282,11 @@ def even_ideal_span(
             raise DimensionError("need n when the generator list is empty")
         n = gens[0].n
     tb = _basis(n, degree_bound)
-    ech = Echelon()
-    seeds = [(pi(g), degree_bound - g.degree) for g in gens if not g.is_zero()]
-    steps = _even_pair_steps(n)
-    _closure(tb, ech, seeds, steps, steps)
-    return SpanBasis(tb, ech)
+    letters = range(1, n + 1)
+    # v_i v_j x = v_i (v_j x) and x v_i v_j = (x v_i) v_j
+    left = [(tb.shift(0, j), tb.shift(0, i)) for i in letters for j in letters]
+    right = [(tb.shift(1, i), tb.shift(1, j)) for i in letters for j in letters]
+    return SpanBasis(tb, _closure(tb, gens, left + right))
 
 
 def membership(spec: IdealSpec, x: NCPoly) -> bool:

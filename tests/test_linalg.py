@@ -59,3 +59,40 @@ def test_nullspace_is_the_rref_of_the_kernel(case):
 def test_nullspace_of_no_functionals_is_everything():
     kernel = nullspace([], 3)
     assert kernel.rows() == [{0: EC_ONE}, {1: EC_ONE}, {2: EC_ONE}]
+
+
+def min_column_rescan(ech, vec):
+    """Residue by repeatedly clearing the lowest pivot column still present."""
+    v = dict(vec)
+    while True:
+        hit = [c for c in v if c in ech.pivots]
+        if not hit:
+            return v
+        col = min(hit)
+        coef = v.pop(col)
+        for c, rc in ech.pivots[col].items():
+            if c != col:
+                v[c] = v.get(c, ExactComplex()) - coef * rc
+                if v[c].is_zero():
+                    del v[c]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(functionals(), st.data())
+def test_reduce_vector_clears_every_pivot_in_one_pass(case, data):
+    rows, ncols = case
+    if ncols == 0:
+        return
+    ech = echelon_from(rows)
+    vec = data.draw(
+        st.dictionaries(st.integers(0, ncols - 1), nonzero, max_size=ncols)
+    )
+    before = {p: dict(r) for p, r in ech.pivots.items()}
+    residue = ech.reduce_vector(vec)
+    assert not set(residue) & set(ech.pivots)
+    diff = dict(vec)
+    for c, x in residue.items():
+        diff[c] = diff.get(c, ExactComplex()) - x
+    assert ech.contains({c: x for c, x in diff.items() if not x.is_zero()})
+    assert residue == min_column_rescan(ech, vec)
+    assert ech.pivots == before

@@ -5,6 +5,7 @@ from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from halfsphere.algebra import CrossedElem, NCPoly, pi
 from halfsphere.errors import DimensionError, PreconditionError
@@ -17,7 +18,7 @@ from halfsphere.representations import (
     sample_points,
     sample_real_point,
 )
-from halfsphere.scalars import ExactComplex
+from halfsphere.scalars import EC_ONE, ExactComplex
 from halfsphere.subspaces import (
     IdealSpec,
     _basis,
@@ -89,20 +90,68 @@ def test_ideal_span_matches_brute_force(n, gens_fn, d):
     assert ideal_span(spec).echelon == brute_force_span(spec)
 
 
+def brute_force_even_span(gens, d, n):
+    """Literal enumeration of pi(w1 g w2) over even words within the bound."""
+    tb = _basis(n, d)
+    vecs = []
+    for g in gens:
+        img = pi(g)
+        budget = d - g.degree
+        for m1 in words(n, budget):
+            if len(m1) % 2:
+                continue
+            left = pi(NCPoly.from_word(n, m1)) * img
+            for m2 in words(n, budget - len(m1)):
+                if len(m2) % 2:
+                    continue
+                vecs.append(tb.vector(left * pi(NCPoly.from_word(n, m2))))
+    return echelon_from(vecs)
+
+
 def test_even_ideal_span_matches_brute_force():
     n, d = 2, 4
     g = v(n, 1) * v(n, 1)
-    tb = _basis(n, d)
-    vecs = []
-    for m1 in words(n, d - 2):
-        if len(m1) % 2:
-            continue
-        left = pi(NCPoly.from_word(n, m1)) * pi(g)
-        for m2 in words(n, d - 2 - len(m1)):
-            if len(m2) % 2:
-                continue
-            vecs.append(tb.vector(left * pi(NCPoly.from_word(n, m2))))
-    assert even_ideal_span((g,), d, n).echelon == echelon_from(vecs)
+    assert even_ideal_span((g,), d, n).echelon == brute_force_even_span((g,), d, n)
+
+
+small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+gaussian = st.builds(ExactComplex, small_rationals, small_rationals).filter(
+    lambda c: not c.is_zero()
+)
+
+
+def generator_strategy(n, lengths):
+    word = st.sampled_from(lengths).flatmap(
+        lambda k: st.tuples(*[st.integers(1, n)] * k)
+    )
+    terms = st.dictionaries(word, gaussian, min_size=1, max_size=3)
+    return terms.map(lambda t: NCPoly(n, t)).filter(lambda g: g.degree >= 1)
+
+
+@st.composite
+def random_specs(draw):
+    n = draw(st.sampled_from((2, 3, 4)))
+    top = 4 if n == 4 else 5
+    d = top - draw(st.integers(0, top - 2))  # large truncations are the simplest draws
+    lengths = tuple(range(min(3, d) + 1))
+    gens = draw(st.lists(generator_strategy(n, lengths), min_size=1, max_size=2))
+    return IdealSpec(n, tuple(gens), d)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(random_specs())
+def test_random_ideal_spans_match_brute_force(spec):
+    assert ideal_span(spec).echelon == brute_force_span(spec)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    st.lists(generator_strategy(3, (0, 2)), min_size=1, max_size=2),
+    st.integers(0, 3).map(lambda k: 5 - k),
+)
+def test_random_even_ideal_spans_match_brute_force(gens, d):
+    n = 3
+    assert even_ideal_span(gens, d, n).echelon == brute_force_even_span(gens, d, n)
 
 
 def test_spec_validates_degree_bound():
@@ -357,6 +406,22 @@ def test_truncation_basis_round_trip():
     tb = _basis(n, d)
     x = pi(v(n, 1) * v(n, 2) + ec(1, 2) * v(n, 2))
     assert tb.element(tb.vector(x)) == x
+
+
+@pytest.mark.parametrize("n,d", [(2, 5), (3, 4), (4, 3)])
+def test_shift_tables_match_generator_products(n, d):
+    tb = _basis(n, d)
+    for i in range(1, n + 1):
+        left, right = tb.shift(0, i), tb.shift(1, i)
+        vi = CrossedElem.generator(n, i)
+        for c, (grade, m) in enumerate(tb.columns):
+            if m.degree == d:
+                assert c not in left and c not in right
+                continue
+            e_c = tb.element({c: EC_ONE})
+            for table, product in ((left, vi * e_c), (right, e_c * vi)):
+                entry = {col: ExactComplex(Fraction(sign)) for col, sign in table[c]}
+                assert entry == tb.vector(product)
 
 
 def test_truncation_basis_degree_overflow():
