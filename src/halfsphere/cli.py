@@ -1,14 +1,16 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 mathematical falsity (eq/orbit/member/graded/
-projcheck/verify answering no), 2 usage or parse error, 3 precondition
-violation.  Output is plain text or the line-oriented structured format
+projcheck/verify answering no), 2 usage or parse error (a zero denominator
+included), 3 precondition violation.  A closed output pipe ends the run
+quietly with 1.  Output is plain text or the line-oriented structured format
 (`[section]` headers and `key = value` lines in a stable order).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field
 from random import Random
@@ -518,7 +520,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if text:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed the pipe (`| head`); send the exit-time flush
+            # to devnull so it cannot fail again, and exit 1 as Python does
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     return code
 
 

@@ -8,7 +8,9 @@ Expressions:  expr := term (('+'|'-') term)*
 written without interior whitespace: 3/5, -2, i, 4/5i, 3/5+4/5i.  The v and
 p alphabets cannot be mixed inside one expression.  Points are comma
 separated scalar literals; a '.' in any coordinate makes the point floating
-and switches that computation to approximate mode.
+and switches that computation to approximate mode.  Every literal is read
+as an exact Gaussian rational first (0.6 is 3/5), and float points convert
+afterwards; a zero denominator is a parse error.
 
 parse_model evaluates a v-expression straight into the crossed-product
 model: pi(parse_expr(text, n).as_nc()) without expanding sums under products
@@ -54,18 +56,14 @@ _PGEN_LONG = re.compile(r"p\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 _INT = re.compile(r"\d+")
 
 
-def _fraction_of(text: str) -> Fraction:
+def _fraction_of(text: str, pos: int) -> Fraction:
+    """An unsigned decimal or n/d literal; '0.6' and '.5' read exactly."""
     if "/" in text:
         num, den = text.split("/")
+        if int(den) == 0:
+            raise ParseError(f"zero denominator in {text!r}", pos)
         return Fraction(int(num), int(den))
     return Fraction(text)
-
-
-def _float_of(text: str) -> float:
-    if "/" in text:
-        num, den = text.split("/")
-        return float(num) / float(den)
-    return float(text)
 
 
 class _Parser:
@@ -147,7 +145,7 @@ class _Parser:
         for pattern in (_EXPR_FULL, _EXPR_IMAG, _EXPR_REAL):
             m = self._match(pattern)
             if m:
-                return _scalar_from_groups(pattern, m, exact=True)
+                return _scalar_from_groups(m)
         return None
 
     def _factor(self):
@@ -208,38 +206,22 @@ class _Parser:
             self._fail(f"generator index {i} out of range 1..{self.n}")
 
 
-def _scalar_from_groups(pattern: re.Pattern, m: re.Match, exact: bool):
+def _scalar_from_groups(m: re.Match) -> ExactComplex:
+    """The Gaussian rational of a matched literal: a+bi, bi or a."""
     groups = m.groups()
     if len(groups) == 4:  # full a+bi form
         sign_re, re_txt, sign_im, im_txt = groups
-        im_txt = im_txt if im_txt is not None else "1"
-        if exact:
-            re_part = _fraction_of(re_txt)
-            im_part = _fraction_of(im_txt)
-            if sign_re == "-":
-                re_part = -re_part
-            if sign_im == "-":
-                im_part = -im_part
-            return ExactComplex(re_part, im_part)
-        re_f = _float_of(re_txt) * (-1 if sign_re == "-" else 1)
-        im_f = _float_of(im_txt) * (-1 if sign_im == "-" else 1)
-        return complex(re_f, im_f)
-    if len(groups) == 2 and m.group(0).endswith("i"):  # pure imaginary
+    elif m.group(0).endswith("i"):  # pure imaginary
+        sign_re, re_txt = "", "0"
         sign_im, im_txt = groups
-        im_txt = im_txt if im_txt is not None else "1"
-        if exact:
-            im_part = _fraction_of(im_txt)
-            if sign_im == "-":
-                im_part = -im_part
-            return ExactComplex(Fraction(0), im_part)
-        return complex(0.0, _float_of(im_txt) * (-1 if sign_im == "-" else 1))
-    sign_re, re_txt = groups
-    if exact:
-        re_part = _fraction_of(re_txt)
-        if sign_re == "-":
-            re_part = -re_part
-        return ExactComplex(re_part, Fraction(0))
-    return complex(_float_of(re_txt) * (-1 if sign_re == "-" else 1), 0.0)
+    else:
+        sign_re, re_txt = groups
+        sign_im, im_txt = "", "0"
+    re_part = _fraction_of(re_txt, m.start())
+    im_part = _fraction_of(im_txt or "1", m.start())
+    return ExactComplex(
+        -re_part if sign_re == "-" else re_part, -im_part if sign_im == "-" else im_part
+    )
 
 
 _V_EXPECTED = "expected an expression in the v-generators"
@@ -389,29 +371,24 @@ def _image_factor(node, n: int):
 def parse_point(
     text: str, n: int, mode: str = "exact", eps: float = DEFAULT_EPSILON
 ) -> SpherePoint:
+    """A point from comma separated literals; float in approx mode or when a
+    coordinate has a '.', exact otherwise.  Literals are read exactly first."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
         raise DimensionError(f"point has {len(parts)} coordinates, expected {n}")
-    force_float = mode == "approx" or any("." in p for p in parts)
-    coords = []
-    for part in parts:
-        if not part:
-            raise ParseError("empty coordinate", 0)
-        value = _parse_coordinate(part, force_float)
-        coords.append(value)
-    if force_float:
-        return SpherePoint.from_floats([complex(c) for c in coords], eps)
+    coords = [_parse_coordinate(part) for part in parts]
+    if mode == "approx" or any("." in p for p in parts):
+        return SpherePoint.from_floats(coords, eps)
     return SpherePoint.from_exact(coords)
 
 
-def _parse_coordinate(part: str, force_float: bool):
+def _parse_coordinate(part: str) -> ExactComplex:
+    if not part:
+        raise ParseError("empty coordinate", 0)
     for pattern in (_PT_FULL, _PT_IMAG, _PT_REAL):
         m = pattern.fullmatch(part)
         if m:
-            value = _scalar_from_groups(pattern, m, exact=not force_float)
-            if force_float and isinstance(value, ExactComplex):
-                value = value.to_complex()
-            return value
+            return _scalar_from_groups(m)
     raise ParseError(f"malformed coordinate {part!r}", 0)
 
 
@@ -545,10 +522,7 @@ def format_lift(x: CrossedElem) -> str:
 
 
 def format_mat2(m: Mat2) -> str:
-    if m.exact:
-        entries = [format_scalar(e) for e in m.entries()]
-    else:
-        entries = [format_float_complex(e) for e in m.entries()]
+    entries = [format_value(e) for e in m.entries()]
     return f"[[{entries[0]}, {entries[1]}], [{entries[2]}, {entries[3]}]]"
 
 

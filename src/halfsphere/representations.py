@@ -14,12 +14,12 @@ equivalent representations iff their Gram matrices agree entrywise or agree
 entrywise after conjugation.
 
 Exact points have Gaussian-rational coordinates and all answers are exact;
-float points fall back to tolerance comparisons.
+float points compare within a tolerance.  Both run the same function bodies:
+each point supplies its scalar ops (scalars.EXACT or scalars.ApproxOps).
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -27,13 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .algebra import CrossedElem
 from .errors import DimensionError, PreconditionError
-from .scalars import (
-    DEFAULT_EPSILON,
-    ExactComplex,
-    approx_eq,
-    approx_zero,
-    exact_sqrt,
-)
+from .scalars import DEFAULT_EPSILON, EXACT, ApproxOps, ExactComplex, ops_for
 
 REAL = "Real"
 TORUS_REAL = "TorusReal"
@@ -51,7 +45,7 @@ class SpherePoint:
     """A point of the complex unit sphere: coordinates with sum |z_i|^2 = 1.
 
     Coordinates are all ExactComplex (exact point) or all complex (float
-    point); validation is exact or within eps accordingly.
+    point); ops(eps) is the matching scalar policy, exact or within eps.
     """
 
     coords: tuple
@@ -68,52 +62,45 @@ class SpherePoint:
     def exact(self) -> bool:
         return isinstance(self.coords[0], ExactComplex)
 
-    @classmethod
-    def from_exact(cls, coords: Sequence[ExactComplex], check: bool = True) -> "SpherePoint":
-        coords = tuple(coords)
-        if check:
-            total = sum((c.modulus_squared() for c in coords), Fraction(0))
-            if total != 1:
-                raise PreconditionError(
-                    f"not a sphere point: sum of squared moduli is {total}"
-                )
-        return cls(coords)
+    def ops(self, eps: float = DEFAULT_EPSILON):
+        """The point's scalar ops: EXACT, or ApproxOps(eps) for a float point."""
+        return ops_for(self.coords, eps)
 
     @classmethod
-    def from_floats(
-        cls, coords: Sequence[complex], eps: float = DEFAULT_EPSILON, check: bool = True
-    ) -> "SpherePoint":
-        coords = tuple(complex(c) for c in coords)
-        if check:
-            total = sum(abs(c) ** 2 for c in coords)
-            if not approx_eq(total, 1.0, eps):
-                raise PreconditionError(
-                    f"not a sphere point: sum of squared moduli is {total}"
-                )
+    def from_exact(cls, coords: Sequence[ExactComplex]) -> "SpherePoint":
+        return cls._on_sphere(tuple(coords), EXACT)
+
+    @classmethod
+    def from_floats(cls, coords: Sequence, eps: float = DEFAULT_EPSILON) -> "SpherePoint":
+        """A float point; ExactComplex coordinates are converted."""
+        ops = ApproxOps(eps)
+        return cls._on_sphere(tuple(map(ops.coerce, coords)), ops)
+
+    @classmethod
+    def _on_sphere(cls, coords: tuple, ops) -> "SpherePoint":
+        total = sum(map(ops.abs2, coords))
+        if not ops.eq(total, 1):
+            raise PreconditionError(f"not a sphere point: sum of squared moduli is {total}")
         return cls(coords)
 
     def to_floats(self) -> "SpherePoint":
-        if not self.exact:
-            return self
-        return SpherePoint(tuple(c.to_complex() for c in self.coords))
+        return SpherePoint(tuple(map(ApproxOps.coerce, self.coords)))
 
     def conjugate(self) -> "SpherePoint":
-        if self.exact:
-            return SpherePoint(tuple(c.conj() for c in self.coords))
-        return SpherePoint(tuple(c.conjugate() for c in self.coords))
+        return SpherePoint(tuple(map(self.ops().conj, self.coords)))
 
     def negate(self) -> "SpherePoint":
         return SpherePoint(tuple(-c for c in self.coords))
 
-    def scale(self, lam) -> "SpherePoint":
+    def scale(self, lam, eps: float = DEFAULT_EPSILON) -> "SpherePoint":
         """Multiply by a unit scalar (ExactComplex for exact points)."""
-        if self.exact:
-            if not isinstance(lam, ExactComplex):
-                raise PreconditionError("exact points need an ExactComplex scalar")
-            if lam.modulus_squared() != 1:
-                raise PreconditionError("scalar must lie on the unit circle")
-            return SpherePoint(tuple(lam * c for c in self.coords))
-        return SpherePoint(tuple(complex(lam) * c for c in self.coords))
+        if self.exact and not isinstance(lam, ExactComplex):
+            raise PreconditionError("exact points need an ExactComplex scalar")
+        ops = self.ops(eps)
+        lam = ops.coerce(lam)
+        if not ops.eq(ops.abs2(lam), 1):
+            raise PreconditionError("scalar must lie on the unit circle")
+        return SpherePoint(tuple(lam * c for c in self.coords))
 
     def __iter__(self):
         return iter(self.coords)
@@ -124,35 +111,19 @@ def classify_point(z: SpherePoint, eps: float = DEFAULT_EPSILON) -> PointClass:
 
     z lies on the torus orbit of a real point iff every product
     z_i conj(z_j) is real; the witness multiplier is conj(z_k)/|z_k| for
-    the first nonzero coordinate (reported as a float).
+    the pivot coordinate k (the first nonzero one of an exact point, the
+    largest one of a float point), reported as a float.
     """
-    if z.exact:
-        if all(c.is_real() for c in z.coords):
-            return PointClass(REAL)
-        products_real = all(
-            (z.coords[i] * z.coords[j].conj()).is_real()
-            for i in range(z.n)
-            for j in range(i + 1, z.n)
-        )
-        if not products_real:
-            return PointClass(REGULAR)
-        k = next(i for i, c in enumerate(z.coords) if not c.is_zero())
-        ck = z.coords[k].to_complex()
-        witness = ck.conjugate() / abs(ck)
-        return PointClass(TORUS_REAL, witness)
-    if all(approx_zero(c.imag, eps) for c in z.coords):
+    ops, c = z.ops(eps), z.coords
+    if all(map(ops.is_real, c)):
         return PointClass(REAL)
     products_real = all(
-        approx_zero((z.coords[i] * z.coords[j].conjugate()).imag, eps)
-        for i in range(z.n)
-        for j in range(i + 1, z.n)
+        ops.is_real(c[i] * ops.conj(c[j])) for i in range(z.n) for j in range(i + 1, z.n)
     )
     if not products_real:
         return PointClass(REGULAR)
-    k = max(range(z.n), key=lambda i: abs(z.coords[i]))
-    ck = z.coords[k]
-    witness = ck.conjugate() / abs(ck)
-    return PointClass(TORUS_REAL, witness)
+    ck = ApproxOps.coerce(c[ops.pivot(c)])
+    return PointClass(TORUS_REAL, ck.conjugate() / abs(ck))
 
 
 class Mat2:
@@ -162,10 +133,6 @@ class Mat2:
 
     def __init__(self, a, b, c, d):
         self.a, self.b, self.c, self.d = a, b, c, d
-
-    @property
-    def exact(self) -> bool:
-        return isinstance(self.a, ExactComplex)
 
     def __add__(self, other: "Mat2") -> "Mat2":
         return Mat2(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
@@ -182,11 +149,8 @@ class Mat2:
         )
 
     def adjoint(self) -> "Mat2":
-        if self.exact:
-            return Mat2(self.a.conj(), self.c.conj(), self.b.conj(), self.d.conj())
-        return Mat2(
-            self.a.conjugate(), self.c.conjugate(), self.b.conjugate(), self.d.conjugate()
-        )
+        conj = ops_for(self.entries()).conj
+        return Mat2(conj(self.a), conj(self.c), conj(self.b), conj(self.d))
 
     def trace(self):
         return self.a + self.d
@@ -198,36 +162,24 @@ class Mat2:
         return (self.a, self.b, self.c, self.d)
 
     def is_zero(self, eps: float = DEFAULT_EPSILON) -> bool:
-        if self.exact:
-            return all(e.is_zero() for e in self.entries())
-        return all(approx_zero(e, eps) for e in self.entries())
+        return all(map(ops_for(self.entries(), eps).is_zero, self.entries()))
 
     def eq(self, other: "Mat2", eps: float = DEFAULT_EPSILON) -> bool:
-        if self.exact and other.exact:
-            return self.entries() == other.entries()
-        mine = [e.to_complex() if isinstance(e, ExactComplex) else e for e in self.entries()]
-        theirs = [
-            e.to_complex() if isinstance(e, ExactComplex) else e for e in other.entries()
-        ]
-        return all(approx_eq(x, y, eps) for x, y in zip(mine, theirs))
+        """Entrywise equality; exact for two exact matrices, else in floats within eps."""
+        ops = ops_for(self.entries() + other.entries(), eps)
+        return all(
+            ops.eq(ops.coerce(x), ops.coerce(y))
+            for x, y in zip(self.entries(), other.entries())
+        )
 
     def eigenvalues(self) -> Tuple:
         """Roots of the characteristic polynomial; exact when the discriminant
         is a real rational perfect square, floats otherwise."""
-        tr = self.trace()
-        det = self.det()
-        if self.exact:
-            disc = tr * tr - det * 4
-            if disc.is_real():
-                root = exact_sqrt(disc.re)
-                if root is not None:
-                    r = ExactComplex(root)
-                    return ((tr + r) / 2, (tr - r) / 2)
-            trc, detc = tr.to_complex(), det.to_complex()
-        else:
-            trc, detc = tr, det
-        root = cmath.sqrt(trc * trc - 4 * detc)
-        return ((trc + root) / 2, (trc - root) / 2)
+        for ops in (ops_for(self.entries()), ApproxOps()):
+            tr, det = ops.coerce(self.trace()), ops.coerce(self.det())
+            root = ops.sqrt(tr * tr - det * 4)
+            if root is not None:
+                return ((tr + root) / 2, (tr - root) / 2)
 
     def __repr__(self) -> str:
         return f"Mat2({self.a}, {self.b}; {self.c}, {self.d})"
@@ -243,23 +195,8 @@ def _check_dims(z: SpherePoint, x: CrossedElem):
 def theta(z: SpherePoint, x: CrossedElem) -> Mat2:
     """The 2-dimensional representation attached to z."""
     _check_dims(z, x)
-    if z.exact:
-        zc = z.coords
-        zb = tuple(c.conj() for c in z.coords)
-        return Mat2(
-            x.f0.evaluate(zc),
-            x.f1.evaluate(zc),
-            x.f1.evaluate(zb),
-            x.f0.evaluate(zb),
-        )
-    zc = list(z.coords)
-    zb = [c.conjugate() for c in z.coords]
-    return Mat2(
-        x.f0.evaluate_float(zc),
-        x.f1.evaluate_float(zc),
-        x.f1.evaluate_float(zb),
-        x.f0.evaluate_float(zb),
-    )
+    zc, zb = z.coords, z.conjugate().coords
+    return Mat2(x.f0.evaluate(zc), x.f1.evaluate(zc), x.f1.evaluate(zb), x.f0.evaluate(zb))
 
 
 def phi_rep(y: SpherePoint, x: CrossedElem, eps: float = DEFAULT_EPSILON):
@@ -267,9 +204,7 @@ def phi_rep(y: SpherePoint, x: CrossedElem, eps: float = DEFAULT_EPSILON):
     _check_dims(y, x)
     if classify_point(y, eps).tag != REAL:
         raise PreconditionError("phi_rep requires a real point")
-    if y.exact:
-        return x.f0.evaluate(y.coords) + x.f1.evaluate(y.coords)
-    return x.f0.evaluate_float(list(y.coords)) + x.f1.evaluate_float(list(y.coords))
+    return x.f0.evaluate(y.coords) + x.f1.evaluate(y.coords)
 
 
 def character(z: SpherePoint, x: CrossedElem):
@@ -279,62 +214,31 @@ def character(z: SpherePoint, x: CrossedElem):
 
 
 def commutant_dimension(z: SpherePoint, eps: float = DEFAULT_EPSILON) -> int:
-    """Dimension of the commutant of theta_z, by exact or float linear solve.
+    """Dimension of the commutant of theta_z, by Gaussian elimination.
 
     For each generator image A = [[0, w], [w*, 0]] the commutation equations
     in the unknown matrix M = [[m0, m1], [m2, m3]] are linear; the commutant
-    is the joint kernel.
+    is the joint kernel.  Pivots come from the point's ops: exact points
+    take the first nonzero entry, float points the largest one above eps.
     """
-    if z.exact:
-        from .linalg import echelon_from
-
-        rows = []
-        for w in z.coords:
-            wb = w.conj()
-            rows.append({1: -wb, 2: w})
-            rows.append({0: -w, 3: w})
-            rows.append({0: wb, 3: -wb})
-            rows.append({1: wb, 2: -w})
-        clean = [
-            {k: v for k, v in row.items() if not v.is_zero()} for row in rows
-        ]
-        rank = echelon_from(r for r in clean if r).dimension
-        return 4 - rank
-    rows_f: List[List[complex]] = []
+    ops = z.ops(eps)
+    o = ops.zero
+    rows = []
     for w in z.coords:
-        wb = w.conjugate()
-        rows_f.append([0, -wb, w, 0])
-        rows_f.append([-w, 0, 0, w])
-        rows_f.append([wb, 0, 0, -wb])
-        rows_f.append([0, wb, -w, 0])
-    return 4 - _float_rank(rows_f, eps)
-
-
-def _float_rank(rows: List[List[complex]], eps: float) -> int:
-    mat = [list(map(complex, r)) for r in rows]
-    ncols = 4
+        wb = ops.conj(w)
+        rows += [[o, -wb, w, o], [-w, o, o, w], [wb, o, o, -wb], [o, wb, -w, o]]
     rank = 0
-    for col in range(ncols):
-        pivot = None
-        best = eps
-        for r in range(rank, len(mat)):
-            if abs(mat[r][col]) > best:
-                best = abs(mat[r][col])
-                pivot = r
-        if pivot is None:
+    for col in range(4):
+        k = ops.pivot([r[col] for r in rows[rank:]])
+        if k is None:
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        prow = mat[rank]
-        scale = prow[col]
-        for r in range(len(mat)):
-            if r == rank:
-                continue
-            factor = mat[r][col] / scale
-            if abs(factor) > 0:
-                for c in range(ncols):
-                    mat[r][c] -= factor * prow[c]
+        rows[rank], rows[rank + k] = rows[rank + k], rows[rank]
+        prow = rows[rank]
         rank += 1
-    return rank
+        for r in rows[rank:]:
+            f = r[col] / prow[col]
+            r[col:] = [x - f * p for x, p in zip(r[col:], prow[col:])]
+    return 4 - rank
 
 
 def is_irreducible(z: SpherePoint, eps: float = DEFAULT_EPSILON) -> bool:
@@ -346,14 +250,8 @@ def is_irreducible(z: SpherePoint, eps: float = DEFAULT_EPSILON) -> bool:
     return classify_point(z, eps).tag == REGULAR
 
 
-def _gram(z: SpherePoint):
-    if z.exact:
-        return [
-            [z.coords[i] * z.coords[j].conj() for j in range(z.n)] for i in range(z.n)
-        ]
-    return [
-        [z.coords[i] * z.coords[j].conjugate() for j in range(z.n)] for i in range(z.n)
-    ]
+def _gram(coords: Sequence, ops):
+    return [[a * ops.conj(b) for b in coords] for a in coords]
 
 
 def orbit_equivalent(z: SpherePoint, x: SpherePoint, eps: float = DEFAULT_EPSILON) -> bool:
@@ -363,27 +261,17 @@ def orbit_equivalent(z: SpherePoint, x: SpherePoint, eps: float = DEFAULT_EPSILO
     under unit scalars; conjugating the point conjugates the Gram matrix and
     swaps theta_z for an equivalent representation, so equivalence holds iff
     the Gram matrices agree entrywise or agree entrywise after conjugation.
+    A pair with a float point is compared in floats.
     """
     if z.n != x.n:
         raise DimensionError("points live on spheres of different dimension")
-    if z.exact and x.exact:
-        gz = _gram(z)
-        gx = _gram(x)
-        same = all(gz[i][j] == gx[i][j] for i in range(z.n) for j in range(z.n))
-        conj = all(
-            gz[i][j] == gx[i][j].conj() for i in range(z.n) for j in range(z.n)
-        )
-        return same or conj
-    gzf = _gram(z.to_floats())
-    gxf = _gram(x.to_floats())
-    same = all(
-        approx_eq(gzf[i][j], gxf[i][j], eps) for i in range(z.n) for j in range(z.n)
+    ops = ops_for(z.coords + x.coords, eps)
+    gz, gx = (
+        [e for row in _gram([ops.coerce(c) for c in p.coords], ops) for e in row]
+        for p in (z, x)
     )
-    conj = all(
-        approx_eq(gzf[i][j], gxf[i][j].conjugate(), eps)
-        for i in range(z.n)
-        for j in range(z.n)
-    )
+    same = all(map(ops.eq, gz, gx))
+    conj = all(map(ops.eq, gz, map(ops.conj, gx)))
     return same or conj
 
 
@@ -392,32 +280,23 @@ def decompose_nonregular(
 ) -> Tuple[SpherePoint, SpherePoint]:
     """For non-regular z return real points (y, -y) with theta_z ~ phi_y + phi_{-y}.
 
-    The untwisting scalar is lambda = conj(z_k)/|z_k|; it stays exact when
-    |z_k| is rational, otherwise the result degrades to a float point.
+    The untwisting scalar is lambda = conj(z_k)/|z_k| at the pivot
+    coordinate k; it stays exact when |z_k| is rational, otherwise the
+    result degrades to a float point.
     """
     cls = classify_point(z, eps)
     if cls.tag == REGULAR:
         raise PreconditionError("decompose_nonregular requires a non-regular point")
     if cls.tag == REAL:
         return z, z.negate()
-    if z.exact:
-        k = next(i for i, c in enumerate(z.coords) if not c.is_zero())
-        msq = z.coords[k].modulus_squared()
-        root = exact_sqrt(msq)
+    for ops in (z.ops(eps), ApproxOps(eps)):
+        coords = [ops.coerce(c) for c in z.coords]
+        ck = coords[ops.pivot(coords)]
+        root = ops.sqrt(ops.abs2(ck))
         if root is not None:
-            lam = z.coords[k].conj() / root
-            coords = [lam * c for c in z.coords]
-            if all(c.is_real() for c in coords):
-                y = SpherePoint(tuple(coords))
-                return y, y.negate()
-        zf = z.to_floats()
-    else:
-        zf = z
-    k = max(range(zf.n), key=lambda i: abs(zf.coords[i]))
-    lam_f = zf.coords[k].conjugate() / abs(zf.coords[k])
-    coords_f = tuple(complex((lam_f * c).real) for c in zf.coords)
-    y = SpherePoint(coords_f)
-    return y, y.negate()
+            lam = ops.conj(ck) / root
+            y = SpherePoint(tuple(ops.real(lam * c) for c in coords))
+            return y, y.negate()
 
 
 # ----------------------------------------------------------------------

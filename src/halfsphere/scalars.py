@@ -3,8 +3,11 @@
 All canonical computation in this package runs over Q(i): complex numbers
 whose real and imaginary parts are arbitrary-precision rationals, so equality
 of canonical forms is decidable with zero tolerance.  Floating point enters
-only through approximate evaluation at user-supplied float points; such
-comparisons go through approx_eq with a relative epsilon.
+only through user-supplied float points.  Code that works on points takes
+its scalar policy from one ops object: EXACT for Gaussian-rational
+coordinates, ApproxOps(eps) for floats, chosen by ops_for.  Both offer conj,
+is_zero, is_real, eq, abs2, real, coerce, zero, one, sqrt and pivot, so
+the same body serves exact and approximate points.
 
 SparseTerms is the shared core of the package's polynomial classes: a
 finite linear combination of keys over Q(i) that never stores a zero
@@ -13,6 +16,8 @@ coefficient.
 
 from __future__ import annotations
 
+import cmath
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -115,27 +120,108 @@ EC_ONE = ExactComplex(Fraction(1))
 EC_I = ExactComplex(Fraction(0), Fraction(1))
 
 
-def exact_sqrt(value: Rational):
-    """Square root of a nonnegative rational, or None when it is not rational.
+class ExactOps:
+    """Scalar policy of exact points: Gaussian rationals, zero tolerance."""
 
-    A reduced fraction is a square iff numerator and denominator both are.
-    """
-    if value < 0:
+    zero = EC_ZERO
+    one = EC_ONE
+    conj = staticmethod(ExactComplex.conj)
+    is_zero = staticmethod(ExactComplex.is_zero)
+    is_real = staticmethod(ExactComplex.is_real)
+    eq = staticmethod(operator.eq)
+    abs2 = staticmethod(ExactComplex.modulus_squared)
+
+    @staticmethod
+    def real(c: ExactComplex) -> ExactComplex:
+        return ExactComplex(c.re)
+
+    @staticmethod
+    def coerce(c: ExactComplex) -> ExactComplex:
+        return c
+
+    @staticmethod
+    def sqrt(value):
+        """The root of a real rational perfect square, else None.
+
+        A reduced fraction is a square iff numerator and denominator both are.
+        """
+        if isinstance(value, ExactComplex):
+            if not value.is_real():
+                return None
+            value = value.re
+        if value < 0:
+            return None
+        num, den = value.numerator, value.denominator
+        rn, rd = isqrt(num), isqrt(den)
+        if rn * rn == num and rd * rd == den:
+            return ExactComplex(Fraction(rn, rd))
         return None
-    num, den = value.numerator, value.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
+
+    @staticmethod
+    def pivot(values):
+        """Index of the first nonzero value, or None."""
+        return next((i for i, v in enumerate(values) if not v.is_zero()), None)
 
 
-def approx_eq(a, b, eps: float = DEFAULT_EPSILON) -> bool:
-    """Relative comparison |a-b| <= eps * max(1, |a|, |b|) for floats/complex."""
-    return abs(a - b) <= eps * max(1.0, abs(a), abs(b))
+class ApproxOps:
+    """Scalar policy of float points: complex numbers compared within eps.
+
+    is_zero and is_real are absolute tests, eq is relative:
+    |a - b| <= eps * max(1, |a|, |b|).
+    """
+
+    __slots__ = ("eps",)
+
+    zero = 0j
+    one = 1 + 0j
+
+    def __init__(self, eps: float = DEFAULT_EPSILON):
+        self.eps = eps
+
+    @staticmethod
+    def conj(c: complex) -> complex:
+        return c.conjugate()
+
+    def is_zero(self, c) -> bool:
+        return abs(c) <= self.eps
+
+    def is_real(self, c) -> bool:
+        return abs(c.imag) <= self.eps
+
+    def eq(self, a, b) -> bool:
+        return abs(a - b) <= self.eps * max(1.0, abs(a), abs(b))
+
+    @staticmethod
+    def abs2(c) -> float:
+        return abs(c) ** 2
+
+    @staticmethod
+    def real(c) -> complex:
+        return complex(c.real)
+
+    @staticmethod
+    def coerce(c) -> complex:
+        return c.to_complex() if isinstance(c, ExactComplex) else complex(c)
+
+    sqrt = staticmethod(cmath.sqrt)
+
+    def pivot(self, values):
+        """Index of the largest value above eps (the first among equals), or None."""
+        best, k = self.eps, None
+        for i, v in enumerate(values):
+            if abs(v) > best:
+                best, k = abs(v), i
+        return k
 
 
-def approx_zero(a, eps: float = DEFAULT_EPSILON) -> bool:
-    return abs(a) <= eps
+EXACT = ExactOps()
+
+
+def ops_for(values, eps: float = DEFAULT_EPSILON):
+    """EXACT when every value is an ExactComplex, else ApproxOps(eps)."""
+    if all(isinstance(v, ExactComplex) for v in values):
+        return EXACT
+    return ApproxOps(eps)
 
 
 def add_term(d: dict, key, c: ExactComplex) -> None:

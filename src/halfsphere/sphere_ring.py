@@ -15,13 +15,14 @@ basis, so a polynomial is canonical exactly when no monomial contains both
 z_1 and z_1~, and normal forms are unique.  Reduction is lazy: arithmetic
 never reduces on its own, callers invoke reduce() where canonicality matters.
 
-Exact evaluation goes through a small table per point (point_table): the
+Evaluation goes through a small table per point (point_table): the
 powers z_i^e, z_i~^e and the value of each monomial are computed once per
 point and shared by every polynomial evaluated there.  Classifying a sample
 evaluates dozens of polynomials at the same few points, over the same
 truncation monomials, so the table turns each term into one multiplication.
-Only the last few points are kept.  Float evaluation multiplies out each
-term directly.
+Only the last few points are kept.  Exact and float points share this path:
+the table takes its unit, conjugation and coefficient coercion from the
+point's scalar ops (scalars.ops_for).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import lru_cache
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import DimensionError
-from .scalars import EC_ONE, EC_ZERO, ExactComplex, SparseTerms, add_term
+from .scalars import EC_ONE, ExactComplex, SparseTerms, add_term, ops_for
 
 
 class ZMonomial:
@@ -100,17 +101,6 @@ class ZMonomial:
         a[i] -= 1
         return ZMonomial(a, self.b)
 
-    def evaluate(self, coords: Sequence, conj: Sequence, scale):
-        """scale * z^a * z~^b with z = coords and z~ = conj (float points)."""
-        v = scale
-        for i, e in enumerate(self.a):
-            if e:
-                v = v * coords[i] ** e
-        for i, e in enumerate(self.b):
-            if e:
-                v = v * conj[i] ** e
-        return v
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ZMonomial) and self.a == other.a and self.b == other.b
@@ -124,43 +114,46 @@ class ZMonomial:
 
 
 class PointTable:
-    """Powers and monomial values at one exact point, each computed once.
+    """Powers and monomial values at one point, each computed once.
 
-    Entries are only ever added, each with its final value, so callers in
-    different threads may share a table.
+    The point's scalar ops (ops_for) supply the unit and the conjugation, so
+    exact and float points share the table.  Powers are filled in order,
+    z_i^e = z_i^(e-1) * z_i, so a float value does not depend on which
+    monomials were asked for first.  Entries are only ever added, each with
+    its final value, so callers in different threads may share a table.
     """
 
-    __slots__ = ("_powers", "_values")
+    __slots__ = ("ops", "_powers", "_values")
 
-    def __init__(self, coords: Tuple[ExactComplex, ...]):
+    def __init__(self, coords: tuple):
+        self.ops = ops = ops_for(coords)
+        coords = [ops.coerce(c) for c in coords]
         # _powers[0][i][e] = z_i^e and _powers[1][i][e] = z_i~^e, filled on demand
-        self._powers: Tuple[List[Dict[int, ExactComplex]], ...] = (
-            [{0: EC_ONE, 1: c} for c in coords],
-            [{0: EC_ONE, 1: c.conj()} for c in coords],
+        self._powers: Tuple[List[list], ...] = (
+            [[ops.one, c] for c in coords],
+            [[ops.one, ops.conj(c)] for c in coords],
         )
-        self._values: Dict[ZMonomial, ExactComplex] = {}
+        self._values: dict = {}
 
-    def value(self, m: ZMonomial) -> ExactComplex:
+    def value(self, m: ZMonomial):
         """z^a z~^b at this point."""
         v = self._values.get(m)
         if v is None:
-            v = EC_ONE
+            one = v = self.ops.one
             for powers, exps in zip(self._powers, (m.a, m.b)):
                 for i, e in enumerate(exps):
                     if e:
                         pw = powers[i]
-                        p = pw.get(e)
-                        if p is None:
-                            prev = pw.get(e - 1)
-                            p = pw[e] = prev * pw[1] if prev is not None else pw[1] ** e
-                        v = p if v is EC_ONE else v * p
+                        while len(pw) <= e:
+                            pw.append(pw[-1] * pw[1])
+                        v = pw[e] if v is one else v * pw[e]
             self._values[m] = v
         return v
 
 
 @lru_cache(maxsize=8)
-def point_table(coords: Tuple[ExactComplex, ...]) -> PointTable:
-    """The shared table of the exact point coords (a tuple, used as the key)."""
+def point_table(coords: tuple) -> PointTable:
+    """The shared table of the point coords (a tuple, used as the key)."""
     return PointTable(coords)
 
 
@@ -283,21 +276,14 @@ class ZPoly(SparseTerms):
     # ------------------------------------------------------------------
     # evaluation
 
-    def evaluate(self, coords: Sequence[ExactComplex]) -> ExactComplex:
+    def evaluate(self, coords: Sequence):
+        """The value at a point: exact for ExactComplex coordinates, else complex."""
         self._check_point(coords)
-        value = point_table(tuple(coords)).value
-        total = EC_ZERO
+        table = point_table(tuple(coords))
+        value, coerce = table.value, table.ops.coerce
+        total = table.ops.zero
         for m, coeff in self.terms.items():
-            total = total + coeff * value(m)
-        return total
-
-    def evaluate_float(self, coords: Sequence[complex]) -> complex:
-        self._check_point(coords)
-        coords = [complex(c) for c in coords]
-        conj = [c.conjugate() for c in coords]
-        total = 0j
-        for m, coeff in self.terms.items():
-            total += m.evaluate(coords, conj, coeff.to_complex())
+            total = total + coerce(coeff) * value(m)
         return total
 
     def _check_point(self, coords: Sequence) -> None:

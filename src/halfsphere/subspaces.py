@@ -398,12 +398,8 @@ def classify_pair(
             if all(theta(z, img).is_zero(eps) for img in images):
                 e_points.append(z)
         elif tag == REAL:
-            vals = [phi_rep(z, img, eps) for img in images]
-            if z.exact:
-                ok = all(v.is_zero() for v in vals)
-            else:
-                ok = all(abs(v) <= eps for v in vals)
-            if ok:
+            is_zero = z.ops(eps).is_zero
+            if all(is_zero(phi_rep(z, img, eps)) for img in images):
                 f_points.append(z)
     return PairEF(tuple(e_points), tuple(f_points))
 

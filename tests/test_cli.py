@@ -6,7 +6,10 @@ values are frozen strings checked against the structured format.
 
 import io
 import contextlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -275,6 +278,11 @@ PARSE_ERRORS = {
     ("--n", "2", "phirep", "3/5,4/5", "p11"):
         "expected an expression in the v-generators (at position 0)",
     ("--n", "2", "char", "3/5,4/5i", "v0"): "generator index 0 out of range 1..2 (at position 2)",
+    ("--n", "2", "nf", "3/0*v1"): "zero denominator in '3/0' (at position 0)",
+    ("--n", "2", "span", "1/0*v1"): "zero denominator in '1/0' (at position 0)",
+    ("--n", "2", "classify", "3/0,1"): "zero denominator in '3/0' (at position 0)",
+    ("--n", "2", "--mode", "approx", "classify", "3/0,1"):
+        "zero denominator in '3/0' (at position 0)",
 }
 
 
@@ -317,6 +325,30 @@ def test_usage_error_exits_2():
         with contextlib.redirect_stderr(io.StringIO()):
             main(["not-a-command"])
     assert exc.value.code == 2
+
+
+def test_closed_output_pipe_ends_quietly(monkeypatch, tmp_path):
+    import halfsphere.cli as cli
+
+    def closed_pipe(*args, **kwargs):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "print", closed_pipe, raising=False)
+    with open(tmp_path / "stdout", "w") as sink, contextlib.redirect_stdout(sink):
+        code = main(["--n", "2", "nf", "v1"])
+    assert code == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "halfsphere", "--n", "2", "nf", "v1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "lift: v1" in proc.stdout.splitlines()
 
 
 def test_main_prints_output(capsys):

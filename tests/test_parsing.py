@@ -11,6 +11,7 @@ from halfsphere.algebra import NCPoly, pi
 from halfsphere.cli import run
 from halfsphere.errors import DimensionError, MixedAlphabetError, ParseError
 from halfsphere.parsing import (
+    format_lift,
     format_ncpoly,
     format_pexpr,
     format_point,
@@ -21,6 +22,7 @@ from halfsphere.parsing import (
     parse_point,
 )
 from halfsphere.projective import PExpr
+from halfsphere.representations import SpherePoint, rational_unit_vector
 from halfsphere.scalars import EC_ONE, ExactComplex
 
 
@@ -159,6 +161,19 @@ def test_parse_point_rejects_garbage():
         parse_point("1,spam", 2)
 
 
+def test_point_literals_read_exactly_before_conversion():
+    assert parse_point("0.6,.8i", 2) == parse_point("3/5,4/5i", 2, mode="approx")
+    assert parse_point("0.6,.8i", 2).coords == (0.6 + 0j, 0.8j)
+    assert parse_point("1,-0", 2, mode="approx").coords[1] == 0j
+
+
+@pytest.mark.parametrize("text", ["3/0,1", "1,2/0i", "1/0+1i,0"])
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_zero_denominator_is_a_parse_error(text, mode):
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_point(text, 2, mode=mode)
+
+
 # -- printers and round trips ---------------------------------------------
 
 
@@ -242,6 +257,38 @@ def test_point_print_parse_round_trip():
     for _ in range(10):
         z = sample_regular_point(3, rng)
         assert parse_point(format_point(z), 3) == z
+
+
+# printing then parsing is the identity on canonical output
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+gaussian = st.builds(ExactComplex, small_rationals, small_rationals)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_lift_print_parse_round_trip(data):
+    n = data.draw(st.sampled_from([2, 3, 4]))
+    word = st.lists(st.integers(1, n), max_size=5).map(tuple)
+    terms = data.draw(st.lists(st.tuples(word, gaussian), max_size=4))
+    x = pi(NCPoly(n, dict(terms)))
+    assert parse_model(format_lift(x), n) == x
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_exact_point_print_parse_round_trip(data):
+    n = data.draw(st.sampled_from([1, 2, 3, 4]))
+    real = data.draw(st.booleans())
+    params = data.draw(st.lists(small_rationals, min_size=n - 1 if real else 2 * n - 1,
+                                max_size=n - 1 if real else 2 * n - 1))
+    xs = rational_unit_vector(params)
+    if real:
+        coords = [ExactComplex(x) for x in xs]
+    else:
+        coords = [ExactComplex(xs[2 * k], xs[2 * k + 1]) for k in range(n)]
+    z = SpherePoint.from_exact(coords)
+    assert parse_point(format_point(z), n) == z
 
 
 # -- model-direct evaluation against the free-algebra path ---------------

@@ -12,10 +12,10 @@ from halfsphere.scalars import (
     EC_I,
     EC_ONE,
     EC_ZERO,
+    EXACT,
+    ApproxOps,
     ExactComplex,
-    approx_eq,
-    approx_zero,
-    exact_sqrt,
+    ops_for,
 )
 from halfsphere.sphere_ring import ZMonomial, ZPoly
 
@@ -80,20 +80,43 @@ def test_conjugation_and_modulus(a):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(rationals)
 def test_exact_sqrt_of_squares(q):
-    assert exact_sqrt(q * q) == abs(q)
+    assert EXACT.sqrt(q * q) == ExactComplex(abs(q))
+    assert EXACT.sqrt(ExactComplex(q * q)) == ExactComplex(abs(q))
 
 
 def test_exact_sqrt_rejects_non_squares():
-    assert exact_sqrt(Fraction(2)) is None
-    assert exact_sqrt(Fraction(-1)) is None
-    assert exact_sqrt(Fraction(4, 9)) == Fraction(2, 3)
+    assert EXACT.sqrt(Fraction(2)) is None
+    assert EXACT.sqrt(Fraction(-1)) is None
+    assert EXACT.sqrt(Fraction(4, 9)) == ExactComplex(Fraction(2, 3))
+    assert EXACT.sqrt(EC_I) is None
 
 
 def test_approx_helpers():
-    assert approx_eq(1.0, 1.0 + DEFAULT_EPSILON / 2)
-    assert not approx_eq(1.0, 1.1)
-    assert approx_zero(1e-12)
-    assert not approx_zero(1e-3)
+    ops = ApproxOps(DEFAULT_EPSILON)
+    assert ops.eq(1.0, 1.0 + DEFAULT_EPSILON / 2)
+    assert not ops.eq(1.0, 1.1)
+    assert ops.is_zero(1e-12)
+    assert not ops.is_zero(1e-3)
+
+
+def test_ops_selection_and_policies():
+    c = ExactComplex(Fraction(3, 5), Fraction(-4, 5))
+    assert ops_for([c, EC_ONE]) is EXACT
+    approx = ops_for([c, 0.5j], eps=1e-6)
+    assert isinstance(approx, ApproxOps) and approx.eps == 1e-6
+    assert EXACT.conj(c) == c.conj() and approx.conj(0.6 - 0.8j) == 0.6 + 0.8j
+    assert EXACT.abs2(c) == 1 and approx.abs2(0.6 - 0.8j) == abs(0.6 - 0.8j) ** 2
+    assert EXACT.real(c) == ExactComplex(Fraction(3, 5)) and approx.real(0.6 - 0.8j) == 0.6
+    assert EXACT.coerce(c) is c and approx.coerce(c) == complex(0.6, -0.8)
+    assert EXACT.is_real(EC_ONE) and not EXACT.is_real(c)
+    assert approx.is_real(1 + 1e-9j) and not approx.is_real(1 + 1e-3j)
+    assert EXACT.zero == EC_ZERO and approx.zero == 0 and approx.one == 1
+    assert approx.sqrt(-4) == 2j
+    # exact pivots are the first nonzero entry, float pivots the largest above eps
+    assert EXACT.pivot([EC_ZERO, EC_I, c]) == 1
+    assert EXACT.pivot([EC_ZERO, EC_ZERO]) is None
+    assert approx.pivot([1e-9, 0.5, -0.8, 0.8]) == 2
+    assert approx.pivot([1e-9, 0j]) is None
 
 
 # -- the shared sparse core, through each of its subclasses at n = 2 ----

@@ -108,7 +108,8 @@ def test_evaluation_exact_and_float():
     c2 = ExactComplex(0, Fraction(4, 5))
     v = p.evaluate([c1, c2])
     assert v == ExactComplex(1, Fraction(-12, 25))
-    fv = p.evaluate_float([0.6, 0.8j])
+    fv = p.evaluate([0.6, 0.8j])
+    assert isinstance(fv, complex)
     assert abs(fv - v.to_complex()) < 1e-12
 
 
