@@ -378,7 +378,10 @@ def parse_point(
         raise DimensionError(f"point has {len(parts)} coordinates, expected {n}")
     coords = [_parse_coordinate(part) for part in parts]
     if mode == "approx" or any("." in p for p in parts):
-        return SpherePoint.from_floats(coords, eps)
+        try:
+            return SpherePoint.from_floats(coords, eps)
+        except OverflowError:
+            raise ParseError("coordinate out of float range", 0) from None
     return SpherePoint.from_exact(coords)
 
 

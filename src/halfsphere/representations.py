@@ -45,7 +45,7 @@ class SpherePoint:
     """A point of the complex unit sphere: coordinates with sum |z_i|^2 = 1.
 
     Coordinates are all ExactComplex (exact point) or all complex (float
-    point); ops(eps) is the matching scalar policy, exact or within eps.
+    point); ops_for(coords, eps) gives the matching scalar policy.
     """
 
     coords: tuple
@@ -61,10 +61,6 @@ class SpherePoint:
     @property
     def exact(self) -> bool:
         return isinstance(self.coords[0], ExactComplex)
-
-    def ops(self, eps: float = DEFAULT_EPSILON):
-        """The point's scalar ops: EXACT, or ApproxOps(eps) for a float point."""
-        return ops_for(self.coords, eps)
 
     @classmethod
     def from_exact(cls, coords: Sequence[ExactComplex]) -> "SpherePoint":
@@ -87,16 +83,16 @@ class SpherePoint:
         return SpherePoint(tuple(map(ApproxOps.coerce, self.coords)))
 
     def conjugate(self) -> "SpherePoint":
-        return SpherePoint(tuple(map(self.ops().conj, self.coords)))
+        return SpherePoint(tuple(map(ops_for(self.coords).conj, self.coords)))
 
     def negate(self) -> "SpherePoint":
         return SpherePoint(tuple(-c for c in self.coords))
 
-    def scale(self, lam, eps: float = DEFAULT_EPSILON) -> "SpherePoint":
+    def scale(self, lam) -> "SpherePoint":
         """Multiply by a unit scalar (ExactComplex for exact points)."""
         if self.exact and not isinstance(lam, ExactComplex):
             raise PreconditionError("exact points need an ExactComplex scalar")
-        ops = self.ops(eps)
+        ops = ops_for(self.coords)
         lam = ops.coerce(lam)
         if not ops.eq(ops.abs2(lam), 1):
             raise PreconditionError("scalar must lie on the unit circle")
@@ -114,7 +110,7 @@ def classify_point(z: SpherePoint, eps: float = DEFAULT_EPSILON) -> PointClass:
     the pivot coordinate k (the first nonzero one of an exact point, the
     largest one of a float point), reported as a float.
     """
-    ops, c = z.ops(eps), z.coords
+    ops, c = ops_for(z.coords, eps), z.coords
     if all(map(ops.is_real, c)):
         return PointClass(REAL)
     products_real = all(
@@ -221,7 +217,7 @@ def commutant_dimension(z: SpherePoint, eps: float = DEFAULT_EPSILON) -> int:
     is the joint kernel.  Pivots come from the point's ops: exact points
     take the first nonzero entry, float points the largest one above eps.
     """
-    ops = z.ops(eps)
+    ops = ops_for(z.coords, eps)
     o = ops.zero
     rows = []
     for w in z.coords:
@@ -289,7 +285,7 @@ def decompose_nonregular(
         raise PreconditionError("decompose_nonregular requires a non-regular point")
     if cls.tag == REAL:
         return z, z.negate()
-    for ops in (z.ops(eps), ApproxOps(eps)):
+    for ops in (ops_for(z.coords, eps), ApproxOps(eps)):
         coords = [ops.coerce(c) for c in z.coords]
         ck = coords[ops.pivot(coords)]
         root = ops.sqrt(ops.abs2(ck))

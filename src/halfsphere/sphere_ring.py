@@ -129,9 +129,9 @@ class PointTable:
         self.ops = ops = ops_for(coords)
         coords = [ops.coerce(c) for c in coords]
         # _powers[0][i][e] = z_i^e and _powers[1][i][e] = z_i~^e, filled on demand
-        self._powers: Tuple[List[list], ...] = (
-            [[ops.one, c] for c in coords],
-            [[ops.one, ops.conj(c)] for c in coords],
+        self._powers: Tuple[List[dict], ...] = (
+            [{0: ops.one, 1: c} for c in coords],
+            [{0: ops.one, 1: ops.conj(c)} for c in coords],
         )
         self._values: dict = {}
 
@@ -144,8 +144,10 @@ class PointTable:
                 for i, e in enumerate(exps):
                     if e:
                         pw = powers[i]
-                        while len(pw) <= e:
-                            pw.append(pw[-1] * pw[1])
+                        if e not in pw:
+                            # keys run 0..top; rewriting a key stores the same value
+                            for k in range(len(pw), e + 1):
+                                pw[k] = pw[k - 1] * pw[1]
                         v = pw[e] if v is one else v * pw[e]
             self._values[m] = v
         return v

@@ -37,7 +37,7 @@ from .representations import (
     phi_rep,
     theta,
 )
-from .scalars import DEFAULT_EPSILON, ExactComplex, add_term
+from .scalars import DEFAULT_EPSILON, ExactComplex, add_term, ops_for
 from .sphere_ring import ZMonomial, point_table, reduced_monomials
 
 # column -> the (column, +-1) terms of its product with one generator
@@ -398,7 +398,7 @@ def classify_pair(
             if all(theta(z, img).is_zero(eps) for img in images):
                 e_points.append(z)
         elif tag == REAL:
-            is_zero = z.ops(eps).is_zero
+            is_zero = ops_for(z.coords, eps).is_zero
             if all(is_zero(phi_rep(z, img, eps)) for img in images):
                 f_points.append(z)
     return PairEF(tuple(e_points), tuple(f_points))

@@ -283,6 +283,8 @@ PARSE_ERRORS = {
     ("--n", "2", "classify", "3/0,1"): "zero denominator in '3/0' (at position 0)",
     ("--n", "2", "--mode", "approx", "classify", "3/0,1"):
         "zero denominator in '3/0' (at position 0)",
+    ("--n", "2", "classify", "1" + "0" * 400 + ".0,0"):
+        "coordinate out of float range (at position 0)",
 }
 
 

@@ -174,6 +174,12 @@ def test_zero_denominator_is_a_parse_error(text, mode):
         parse_point(text, 2, mode=mode)
 
 
+@pytest.mark.parametrize("text", ["1" + "0" * 400 + ".0,0", "0,-1" + "0" * 400 + "i"])
+def test_float_coordinate_out_of_range_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="out of float range"):
+        parse_point(text, 2, mode="approx")
+
+
 # -- printers and round trips ---------------------------------------------
 
 
