@@ -286,7 +286,7 @@ def _run_theta(session: Session, args, out: Output) -> int:
 def _run_phirep(session: Session, args, out: Output) -> int:
     y = _point(session, args.point)
     x = _parse_model(session, args.expr)
-    value = phi_rep(y, x, session.epsilon)
+    value = phi_rep(y, x)
     _emit_session(out, session)
     out.section("phirep")
     out.pair("point", format_point(y), text=f"point: {format_point(y)}")
@@ -307,7 +307,7 @@ def _run_char(session: Session, args, out: Output) -> int:
 
 def _run_classify(session: Session, args, out: Output) -> int:
     z = _point(session, args.point)
-    cls = classify_point(z, session.epsilon)
+    cls = classify_point(z)
     _emit_session(out, session)
     out.section("classify")
     out.pair("point", format_point(z), text=f"point: {format_point(z)}")
@@ -320,12 +320,12 @@ def _run_classify(session: Session, args, out: Output) -> int:
             format_float_complex(cls.witness),
             text=f"witness multiplier: {format_float_complex(cls.witness)}",
         )
-    irreducible = _bool(is_irreducible(z, session.epsilon))
+    irreducible = _bool(is_irreducible(z))
     out.pair("irreducible", irreducible, text=f"irreducible: {irreducible}")
-    dim = commutant_dimension(z, session.epsilon)
+    dim = commutant_dimension(z)
     out.pair("commutant_dimension", dim, text=f"commutant dimension: {dim}")
     if cls.tag != REGULAR:
-        y, ym = decompose_nonregular(z, session.epsilon)
+        y, ym = decompose_nonregular(z)
         out.pair("decomposition_plus", format_point(y), text=f"splits as phi at {format_point(y)}")
         out.pair("decomposition_minus", format_point(ym), text=f"          and phi at {format_point(ym)}")
     return 0
@@ -334,7 +334,7 @@ def _run_classify(session: Session, args, out: Output) -> int:
 def _run_orbit(session: Session, args, out: Output) -> int:
     a = _point(session, args.left)
     b = _point(session, args.right)
-    eq = orbit_equivalent(a, b, session.epsilon)
+    eq = orbit_equivalent(a, b)
     _emit_session(out, session)
     out.section("orbit")
     out.pair("left", format_point(a), text=f"left:  {format_point(a)}")
@@ -381,7 +381,7 @@ def _run_pair(session: Session, args, out: Output) -> int:
     spec = _spec(session, args.gens)
     rng = Random(session.seed)
     sample = sample_points(session.n, rng)
-    result = classify_pair(spec, sample, session.epsilon)
+    result = classify_pair(spec, sample)
     span = ideal_span(spec)
     graded = is_graded(spec)
     _emit_session(out, session)

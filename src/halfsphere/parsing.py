@@ -7,10 +7,10 @@ Expressions:  expr := term (('+'|'-') term)*
 '*' between factors is optional.  Scalar literals are Gaussian rationals
 written without interior whitespace: 3/5, -2, i, 4/5i, 3/5+4/5i.  The v and
 p alphabets cannot be mixed inside one expression.  Points are comma
-separated scalar literals; a '.' in any coordinate makes the point floating
-and switches that computation to approximate mode.  Every literal is read
-as an exact Gaussian rational first (0.6 is 3/5), and float points convert
-afterwards; a zero denominator is a parse error.
+separated scalar literals; a '.' or an exponent (1e-05) in any coordinate
+makes the point floating and switches that computation to approximate mode.
+Every literal is read as an exact Gaussian rational first (0.6 is 3/5), and
+float points convert afterwards; a zero denominator is a parse error.
 
 parse_model evaluates a v-expression straight into the crossed-product
 model: pi(parse_expr(text, n).as_nc()) without expanding sums under products
@@ -29,14 +29,14 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .algebra import CrossedElem, NCPoly, nc_lift, pi, pi_components, twisted_product
-from .errors import DimensionError, MixedAlphabetError, ParseError
+from .errors import DimensionError, MixedAlphabetError, ParseError, PreconditionError
 from .projective import PExpr
 from .representations import Mat2, SpherePoint
-from .scalars import DEFAULT_EPSILON, EC_ONE, ExactComplex
+from .scalars import DEFAULT_EPSILON, EC_ONE, ApproxOps, ExactComplex
 from .sphere_ring import ZPoly
 
 _NUM_EXACT = r"\d+(?:/\d+)?"
-_NUM_POINT = r"(?:\d+\.\d*|\.\d+|\d+(?:/\d+)?)"
+_NUM_POINT = r"(?:(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?|\d+/\d+)"
 
 
 def _scalar_patterns(num: str, allow_sign: bool):
@@ -57,12 +57,19 @@ _INT = re.compile(r"\d+")
 
 
 def _fraction_of(text: str, pos: int) -> Fraction:
-    """An unsigned decimal or n/d literal; '0.6' and '.5' read exactly."""
+    """An unsigned decimal or n/d literal; '0.6', '.5' and '1e-05' read exactly.
+
+    An exponent beyond +-999 is refused before Fraction builds 10**exponent;
+    every float lies well inside that range.
+    """
     if "/" in text:
         num, den = text.split("/")
         if int(den) == 0:
             raise ParseError(f"zero denominator in {text!r}", pos)
         return Fraction(int(num), int(den))
+    exponent_digits = text.lower().partition("e")[2].lstrip("+-").lstrip("0")
+    if len(exponent_digits) > 3:
+        raise ParseError(f"exponent out of range in {text!r}", pos)
     return Fraction(text)
 
 
@@ -271,12 +278,8 @@ def _eval_terms(terms, n: int, cls):
 def _eval_factor(node, n: int, cls):
     tag = node[0]
     if tag == "v":
-        if cls is not NCPoly:
-            raise MixedAlphabetError("v-generator in a p-expression", 0)
         return NCPoly.generator(n, node[1])
     if tag == "p":
-        if cls is not PExpr:
-            raise MixedAlphabetError("p-generator in a v-expression", 0)
         return PExpr.generator(n, node[1], node[2])
     if tag == "paren":
         return _eval_terms(node[1], n, cls)
@@ -372,16 +375,18 @@ def parse_point(
     text: str, n: int, mode: str = "exact", eps: float = DEFAULT_EPSILON
 ) -> SpherePoint:
     """A point from comma separated literals; float in approx mode or when a
-    coordinate has a '.', exact otherwise.  Literals are read exactly first."""
+    coordinate has a '.' or an exponent, exact otherwise.  Literals are read
+    exactly first.  A float point carries eps as its tolerance."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
         raise DimensionError(f"point has {len(parts)} coordinates, expected {n}")
     coords = [_parse_coordinate(part) for part in parts]
-    if mode == "approx" or any("." in p for p in parts):
+    if mode == "approx" or any(ch in text for ch in ".eE"):
         try:
-            return SpherePoint.from_floats(coords, eps)
-        except OverflowError:
+            coords = [ApproxOps.coerce(c) for c in coords]
+        except PreconditionError:
             raise ParseError("coordinate out of float range", 0) from None
+        return SpherePoint.from_floats(coords, eps)
     return SpherePoint.from_exact(coords)
 
 

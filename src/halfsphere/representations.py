@@ -14,13 +14,14 @@ equivalent representations iff their Gram matrices agree entrywise or agree
 entrywise after conjugation.
 
 Exact points have Gaussian-rational coordinates and all answers are exact;
-float points compare within a tolerance.  Both run the same function bodies:
-each point supplies its scalar ops (scalars.EXACT or scalars.ApproxOps).
+float points compare within the tolerance they were made with.  Both run the
+same function bodies: each point carries its scalar ops (scalars.EXACT or
+scalars.ApproxOps(eps)), and no operation takes a tolerance of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 from typing import List, Optional, Sequence, Tuple
@@ -45,14 +46,20 @@ class SpherePoint:
     """A point of the complex unit sphere: coordinates with sum |z_i|^2 = 1.
 
     Coordinates are all ExactComplex (exact point) or all complex (float
-    point); ops_for(coords, eps) gives the matching scalar policy.
+    point).  ops is the point's scalar policy: EXACT, or ApproxOps(eps) with
+    the tolerance the point was made with; without one it is picked by type
+    (ops_for).  Derived points (negate, conjugate, scale) keep it.  It takes
+    no part in equality or hashing.
     """
 
     coords: tuple
+    ops: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.coords:
             raise DimensionError("a sphere point needs at least one coordinate")
+        if self.ops is None:
+            object.__setattr__(self, "ops", ops_for(self.coords))
 
     @property
     def n(self) -> int:
@@ -60,7 +67,7 @@ class SpherePoint:
 
     @property
     def exact(self) -> bool:
-        return isinstance(self.coords[0], ExactComplex)
+        return self.ops is EXACT
 
     @classmethod
     def from_exact(cls, coords: Sequence[ExactComplex]) -> "SpherePoint":
@@ -77,32 +84,33 @@ class SpherePoint:
         total = sum(map(ops.abs2, coords))
         if not ops.eq(total, 1):
             raise PreconditionError(f"not a sphere point: sum of squared moduli is {total}")
-        return cls(coords)
+        return cls(coords, ops)
 
     def to_floats(self) -> "SpherePoint":
+        """The float copy, at the default tolerance."""
         return SpherePoint(tuple(map(ApproxOps.coerce, self.coords)))
 
     def conjugate(self) -> "SpherePoint":
-        return SpherePoint(tuple(map(ops_for(self.coords).conj, self.coords)))
+        return SpherePoint(tuple(map(self.ops.conj, self.coords)), self.ops)
 
     def negate(self) -> "SpherePoint":
-        return SpherePoint(tuple(-c for c in self.coords))
+        return SpherePoint(tuple(-c for c in self.coords), self.ops)
 
     def scale(self, lam) -> "SpherePoint":
         """Multiply by a unit scalar (ExactComplex for exact points)."""
         if self.exact and not isinstance(lam, ExactComplex):
             raise PreconditionError("exact points need an ExactComplex scalar")
-        ops = ops_for(self.coords)
+        ops = self.ops
         lam = ops.coerce(lam)
         if not ops.eq(ops.abs2(lam), 1):
             raise PreconditionError("scalar must lie on the unit circle")
-        return SpherePoint(tuple(lam * c for c in self.coords))
+        return SpherePoint(tuple(lam * c for c in self.coords), ops)
 
     def __iter__(self):
         return iter(self.coords)
 
 
-def classify_point(z: SpherePoint, eps: float = DEFAULT_EPSILON) -> PointClass:
+def classify_point(z: SpherePoint) -> PointClass:
     """Real, TorusReal (unit multiple of a real point) or Regular.
 
     z lies on the torus orbit of a real point iff every product
@@ -110,7 +118,7 @@ def classify_point(z: SpherePoint, eps: float = DEFAULT_EPSILON) -> PointClass:
     the pivot coordinate k (the first nonzero one of an exact point, the
     largest one of a float point), reported as a float.
     """
-    ops, c = ops_for(z.coords, eps), z.coords
+    ops, c = z.ops, z.coords
     if all(map(ops.is_real, c)):
         return PointClass(REAL)
     products_real = all(
@@ -157,12 +165,10 @@ class Mat2:
     def entries(self) -> Tuple:
         return (self.a, self.b, self.c, self.d)
 
-    def is_zero(self, eps: float = DEFAULT_EPSILON) -> bool:
-        return all(map(ops_for(self.entries(), eps).is_zero, self.entries()))
-
-    def eq(self, other: "Mat2", eps: float = DEFAULT_EPSILON) -> bool:
-        """Entrywise equality; exact for two exact matrices, else in floats within eps."""
-        ops = ops_for(self.entries() + other.entries(), eps)
+    def eq(self, other: "Mat2") -> bool:
+        """Entrywise equality; exact for two exact matrices, else in floats
+        within the default tolerance."""
+        ops = ops_for(self.entries() + other.entries())
         return all(
             ops.eq(ops.coerce(x), ops.coerce(y))
             for x, y in zip(self.entries(), other.entries())
@@ -195,10 +201,10 @@ def theta(z: SpherePoint, x: CrossedElem) -> Mat2:
     return Mat2(x.f0.evaluate(zc), x.f1.evaluate(zc), x.f1.evaluate(zb), x.f0.evaluate(zb))
 
 
-def phi_rep(y: SpherePoint, x: CrossedElem, eps: float = DEFAULT_EPSILON):
+def phi_rep(y: SpherePoint, x: CrossedElem):
     """The character f0(y) + f1(y) attached to a real point y."""
     _check_dims(y, x)
-    if classify_point(y, eps).tag != REAL:
+    if classify_point(y).tag != REAL:
         raise PreconditionError("phi_rep requires a real point")
     return x.f0.evaluate(y.coords) + x.f1.evaluate(y.coords)
 
@@ -209,7 +215,7 @@ def character(z: SpherePoint, x: CrossedElem):
     return m.trace()
 
 
-def commutant_dimension(z: SpherePoint, eps: float = DEFAULT_EPSILON) -> int:
+def commutant_dimension(z: SpherePoint) -> int:
     """Dimension of the commutant of theta_z, by Gaussian elimination.
 
     For each generator image A = [[0, w], [w*, 0]] the commutation equations
@@ -217,7 +223,7 @@ def commutant_dimension(z: SpherePoint, eps: float = DEFAULT_EPSILON) -> int:
     is the joint kernel.  Pivots come from the point's ops: exact points
     take the first nonzero entry, float points the largest one above eps.
     """
-    ops = ops_for(z.coords, eps)
+    ops = z.ops
     o = ops.zero
     rows = []
     for w in z.coords:
@@ -237,31 +243,32 @@ def commutant_dimension(z: SpherePoint, eps: float = DEFAULT_EPSILON) -> int:
     return 4 - rank
 
 
-def is_irreducible(z: SpherePoint, eps: float = DEFAULT_EPSILON) -> bool:
+def is_irreducible(z: SpherePoint) -> bool:
     """True iff theta_z is irreducible, i.e. iff z is regular.
 
     commutant_dimension provides the independent algebraic cross-check
     (irreducible iff the commutant is the scalars).
     """
-    return classify_point(z, eps).tag == REGULAR
+    return classify_point(z).tag == REGULAR
 
 
 def _gram(coords: Sequence, ops):
     return [[a * ops.conj(b) for b in coords] for a in coords]
 
 
-def orbit_equivalent(z: SpherePoint, x: SpherePoint, eps: float = DEFAULT_EPSILON) -> bool:
+def orbit_equivalent(z: SpherePoint, x: SpherePoint) -> bool:
     """Whether theta_z and theta_x are unitarily equivalent.
 
     The Gram matrix (z_i conj(z_j)) is a complete invariant of the orbit of z
     under unit scalars; conjugating the point conjugates the Gram matrix and
     swaps theta_z for an equivalent representation, so equivalence holds iff
     the Gram matrices agree entrywise or agree entrywise after conjugation.
-    A pair with a float point is compared in floats.
+    A pair with a float point is compared in floats, within the larger of
+    the two points' tolerances (an exact point's is 0).
     """
     if z.n != x.n:
         raise DimensionError("points live on spheres of different dimension")
-    ops = ops_for(z.coords + x.coords, eps)
+    ops = max(z.ops, x.ops, key=lambda o: o.eps)
     gz, gx = (
         [e for row in _gram([ops.coerce(c) for c in p.coords], ops) for e in row]
         for p in (z, x)
@@ -271,27 +278,25 @@ def orbit_equivalent(z: SpherePoint, x: SpherePoint, eps: float = DEFAULT_EPSILO
     return same or conj
 
 
-def decompose_nonregular(
-    z: SpherePoint, eps: float = DEFAULT_EPSILON
-) -> Tuple[SpherePoint, SpherePoint]:
+def decompose_nonregular(z: SpherePoint) -> Tuple[SpherePoint, SpherePoint]:
     """For non-regular z return real points (y, -y) with theta_z ~ phi_y + phi_{-y}.
 
     The untwisting scalar is lambda = conj(z_k)/|z_k| at the pivot
-    coordinate k; it stays exact when |z_k| is rational, otherwise the
-    result degrades to a float point.
+    coordinate k.  The results keep z's ops, except that an exact z whose
+    |z_k| is irrational yields float points at the default tolerance.
     """
-    cls = classify_point(z, eps)
+    cls = classify_point(z)
     if cls.tag == REGULAR:
         raise PreconditionError("decompose_nonregular requires a non-regular point")
     if cls.tag == REAL:
         return z, z.negate()
-    for ops in (ops_for(z.coords, eps), ApproxOps(eps)):
+    for ops in (z.ops, ApproxOps()):
         coords = [ops.coerce(c) for c in z.coords]
         ck = coords[ops.pivot(coords)]
         root = ops.sqrt(ops.abs2(ck))
         if root is not None:
             lam = ops.conj(ck) / root
-            y = SpherePoint(tuple(ops.real(lam * c) for c in coords))
+            y = SpherePoint(tuple(ops.real(lam * c) for c in coords), ops)
             return y, y.negate()
 
 

@@ -5,9 +5,12 @@ whose real and imaginary parts are arbitrary-precision rationals, so equality
 of canonical forms is decidable with zero tolerance.  Floating point enters
 only through user-supplied float points.  Code that works on points takes
 its scalar policy from one ops object: EXACT for Gaussian-rational
-coordinates, ApproxOps(eps) for floats, chosen by ops_for.  Both offer conj,
-is_zero, is_real, eq, abs2, real, coerce, zero, one, sqrt and pivot, so
-the same body serves exact and approximate points.
+coordinates, ApproxOps(eps) for floats.  A sphere point carries its own
+(representations.SpherePoint.ops, with the tolerance it was made with);
+ops_for picks one by value type, at the default tolerance, for values that
+belong to no point.  Both offer eps, conj, is_zero, is_real, eq, abs2, real,
+coerce, zero, one, sqrt and pivot, so the same body serves exact and
+approximate points.
 
 SparseTerms is the shared core of the package's polynomial classes: a
 finite linear combination of keys over Q(i) that never stores a zero
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .errors import DimensionError
+from .errors import DimensionError, PreconditionError
 
 Rational = Fraction
 
@@ -123,6 +126,7 @@ EC_I = ExactComplex(Fraction(0), Fraction(1))
 class ExactOps:
     """Scalar policy of exact points: Gaussian rationals, zero tolerance."""
 
+    eps = 0
     zero = EC_ZERO
     one = EC_ONE
     conj = staticmethod(ExactComplex.conj)
@@ -201,7 +205,10 @@ class ApproxOps:
 
     @staticmethod
     def coerce(c) -> complex:
-        return c.to_complex() if isinstance(c, ExactComplex) else complex(c)
+        try:
+            return c.to_complex() if isinstance(c, ExactComplex) else complex(c)
+        except OverflowError:
+            raise PreconditionError("value out of float range") from None
 
     sqrt = staticmethod(cmath.sqrt)
 
@@ -217,11 +224,11 @@ class ApproxOps:
 EXACT = ExactOps()
 
 
-def ops_for(values, eps: float = DEFAULT_EPSILON):
-    """EXACT when every value is an ExactComplex, else ApproxOps(eps)."""
+def ops_for(values):
+    """EXACT when every value is an ExactComplex, else ApproxOps()."""
     if all(isinstance(v, ExactComplex) for v in values):
         return EXACT
-    return ApproxOps(eps)
+    return ApproxOps()
 
 
 def add_term(d: dict, key, c: ExactComplex) -> None:

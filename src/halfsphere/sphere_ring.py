@@ -222,31 +222,11 @@ class ZPoly(SparseTerms):
         out._reduced = self._reduced
         return out
 
-    def weight_split(self) -> Dict[int, "ZPoly"]:
-        parts: Dict[int, Dict[ZMonomial, ExactComplex]] = {}
-        for m, c in self.terms.items():
-            parts.setdefault(m.weight, {})[m] = c
-        out = {}
-        for w, terms in parts.items():
-            p = ZPoly(self.n, terms)
-            p._reduced = self._reduced
-            out[w] = p
-        return out
-
-    def weight_part(self, w: int) -> "ZPoly":
-        terms = {m: c for m, c in self.terms.items() if m.weight == w}
-        p = ZPoly(self.n, terms)
-        p._reduced = self._reduced
-        return p
-
     def is_homogeneous_of_weight(self, w: int) -> bool:
         return all(m.weight == w for m in self.terms)
 
     # ------------------------------------------------------------------
     # canonical form
-
-    def is_reduced(self) -> bool:
-        return all(not m.has_redex() for m in self.terms)
 
     def reduce(self) -> "ZPoly":
         """Normal form modulo z_1 z_1~ -> 1 - sum_{i>=2} z_i z_i~.

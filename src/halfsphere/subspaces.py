@@ -37,7 +37,7 @@ from .representations import (
     phi_rep,
     theta,
 )
-from .scalars import DEFAULT_EPSILON, ExactComplex, add_term, ops_for
+from .scalars import ExactComplex, add_term
 from .sphere_ring import ZMonomial, point_table, reduced_monomials
 
 # column -> the (column, +-1) terms of its product with one generator
@@ -378,14 +378,13 @@ class PairEF:
         return len(self.E) > 0
 
 
-def classify_pair(
-    spec: IdealSpec, sample: Sequence[SpherePoint], eps: float = DEFAULT_EPSILON
-) -> PairEF:
+def classify_pair(spec: IdealSpec, sample: Sequence[SpherePoint]) -> PairEF:
     """Sort sampled points into the pair (E, F) cut out by the generators.
 
     A regular point joins E when theta kills every generator; a real point
     joins F when the character phi kills every generator.  Unit multiples of
-    real points that are not real belong to neither list.
+    real points that are not real belong to neither list.  Each point's
+    own ops decide what is zero.
     """
     images = [pi(g) for g in spec.generators]
     e_points: List[SpherePoint] = []
@@ -393,13 +392,12 @@ def classify_pair(
     for z in sample:
         if z.n != spec.n:
             raise DimensionError("sample point dimension does not match n")
-        tag = classify_point(z, eps).tag
+        tag, is_zero = classify_point(z).tag, z.ops.is_zero
         if tag == REGULAR:
-            if all(theta(z, img).is_zero(eps) for img in images):
+            if all(all(map(is_zero, theta(z, img).entries())) for img in images):
                 e_points.append(z)
         elif tag == REAL:
-            is_zero = ops_for(z.coords, eps).is_zero
-            if all(is_zero(phi_rep(z, img, eps)) for img in images):
+            if all(is_zero(phi_rep(z, img)) for img in images):
                 f_points.append(z)
     return PairEF(tuple(e_points), tuple(f_points))
 

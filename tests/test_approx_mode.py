@@ -12,7 +12,7 @@ import pytest
 
 from halfsphere.errors import PreconditionError
 from halfsphere.linalg import echelon_from
-from halfsphere.parsing import parse_model
+from halfsphere.parsing import parse_expr, parse_model
 from halfsphere.representations import (
     REAL,
     REGULAR,
@@ -22,6 +22,7 @@ from halfsphere.representations import (
     classify_point,
     commutant_dimension,
     decompose_nonregular,
+    is_irreducible,
     orbit_equivalent,
     phi_rep,
     sample_real_point,
@@ -30,6 +31,7 @@ from halfsphere.representations import (
     theta,
 )
 from halfsphere.scalars import ExactComplex
+from halfsphere.subspaces import IdealSpec, PairEF, classify_pair
 
 TOL = 1e-12
 
@@ -235,6 +237,28 @@ def test_float_scale_keeps_unit_scalars_and_rejects_others():
     assert all_close(z.scale(1j).coords, [0.6j, -0.8])
     with pytest.raises(PreconditionError):
         z.scale(0.5j)
+
+
+def test_float_point_carries_its_tolerance():
+    z = SpherePoint.from_floats([0.6, 0.8 + 1e-6j], 1e-3)
+    strict = SpherePoint.from_floats([0.6, 0.8 + 1e-6j])
+    assert (classify_point(z).tag, commutant_dimension(z), is_irreducible(z)) == (REAL, 2, False)
+    assert (classify_point(strict).tag, commutant_dimension(strict)) == (REGULAR, 1)
+    # a pair compares within the larger tolerance, in either order
+    for w in (SpherePoint.from_floats([0.6, 0.8], 1e-3), SpherePoint.from_floats([0.6, 0.8]),
+              SpherePoint.from_exact([ExactComplex(Fraction(3, 5)), ExactComplex(Fraction(4, 5))])):
+        assert orbit_equivalent(z, w) and orbit_equivalent(w, z)
+    real = SpherePoint.from_floats([0.6, 0.8])
+    assert not orbit_equivalent(strict, real) and not orbit_equivalent(real, strict)
+    torus = SpherePoint.from_floats([0.6j, 0.8j + 1e-6], 1e-3)
+    assert classify_point(torus).tag == "TorusReal"
+    derived = [z.negate(), z.conjugate(), z.scale(1j * (1 + 1e-6)),
+               *decompose_nonregular(z), *decompose_nonregular(torus)]
+    assert all(p.ops.eps == 1e-3 for p in derived)
+    with pytest.raises(PreconditionError):
+        strict.scale(1j * (1 + 1e-6))
+    spec = IdealSpec(2, (parse_expr("v2 - 4/5", 2).as_nc(),), 2)
+    assert classify_pair(spec, [z, strict]) == PairEF((), (z,))
 
 
 def _reference_commutant_dimension(z: SpherePoint) -> int:

@@ -8,6 +8,7 @@ import io
 import contextlib
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -162,6 +163,21 @@ def test_classify_approx_mode():
     d = kv(run_ok(["--n", "2", "--mode", "approx", "--format", "structured",
                    "classify", "0.6,0.8"]))
     assert d["class"] == "Real"
+
+
+# the one --eps flag must reach every operation on the point
+@pytest.mark.parametrize("eps, tag, dim", [([], "Regular", "1"), (["--eps", "1e-3"], "Real", "2")])
+def test_classify_follows_eps(eps, tag, dim):
+    d = kv(run_ok(["--n", "2", "--mode", "approx", "--format", "structured", *eps,
+                   "classify", "0.6,0.8+0.000001i"]))
+    assert (d["class"], d["commutant_dimension"]) == (tag, dim)
+
+
+@pytest.mark.parametrize("eps, code, equivalent", [([], 1, "false"), (["--eps", "1e-3"], 0, "true")])
+def test_orbit_follows_eps(eps, code, equivalent):
+    got, text = run(["--n", "2", "--mode", "approx", "--format", "structured", *eps,
+                     "orbit", "0.6,0.8i", "0.6+0.000001i,0.8i"])
+    assert (got, kv(text)["equivalent"]) == (code, equivalent)
 
 
 def test_orbit_equivalence_codes():
@@ -322,6 +338,11 @@ def test_precondition_errors_exit_3(argv):
     assert _main_stderr(argv)[0] == 3
 
 
+def test_float_overflow_in_a_coefficient_exits_3():
+    argv = ["--n", "2", "--mode", "approx", "theta", "0.6,0.8", "1" + "0" * 400 + "*v1"]
+    assert _main_stderr(argv) == (3, "error: value out of float range\n")
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         with contextlib.redirect_stderr(io.StringIO()):
@@ -351,6 +372,16 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert "lift: v1" in proc.stdout.splitlines()
+
+
+def test_readme_examples_run():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    examples = [shlex.split(line, comments=True)[1:]
+                for line in readme.splitlines() if line.startswith("halfsphere ")]
+    examples = [argv for argv in examples if argv != ["verify", "all"]]
+    assert len(examples) == 14
+    for argv in examples:
+        assert run(argv)[0] in (0, 1), argv
 
 
 def test_main_prints_output(capsys):

@@ -167,6 +167,20 @@ def test_point_literals_read_exactly_before_conversion():
     assert parse_point("1,-0", 2, mode="approx").coords[1] == 0j
 
 
+def test_parse_point_exponent_literals():
+    assert parse_point("1e-05,1", 2).coords == (1e-05 + 0j, 1 + 0j)
+    assert parse_point("6E-1,8.0e-1i", 2) == parse_point("3/5,4/5i", 2, mode="approx")
+    assert parse_point("1e-05+2.5e-06i,1e+0", 2).coords[0] == 1e-05 + 2.5e-06j
+    z = SpherePoint.from_floats([1e-5, (1 - 1e-10) ** 0.5])
+    assert parse_point(format_point(z), 2) == z
+
+
+@pytest.mark.parametrize("text", ["1e100000,0", "0,1e-100000i", "1E+0001000,0"])
+def test_exponent_out_of_range_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="exponent out of range"):
+        parse_point(text, 2)
+
+
 @pytest.mark.parametrize("text", ["3/0,1", "1,2/0i", "1/0+1i,0"])
 @pytest.mark.parametrize("mode", ["exact", "approx"])
 def test_zero_denominator_is_a_parse_error(text, mode):
@@ -295,6 +309,19 @@ def test_exact_point_print_parse_round_trip(data):
         coords = [ExactComplex(xs[2 * k], xs[2 * k + 1]) for k in range(n)]
     z = SpherePoint.from_exact(coords)
     assert parse_point(format_point(z), n) == z
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_float_point_print_parse_round_trip(data):
+    n = data.draw(st.sampled_from([1, 2, 3, 4]))
+    # mantissas scaled down to 1e-30, so repr prints exponents
+    part = st.builds(lambda m, k: m * 10.0**-k, st.floats(-1, 1), st.integers(0, 30))
+    raw = [complex(*data.draw(st.tuples(part, part))) for _ in range(n)]
+    norm = sum(abs(c) ** 2 for c in raw) ** 0.5
+    assume(norm > 1e-150)
+    z = SpherePoint.from_floats([c / norm for c in raw])
+    assert parse_point(format_point(z), n, mode="approx") == z
 
 
 # -- model-direct evaluation against the free-algebra path ---------------

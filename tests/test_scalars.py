@@ -102,8 +102,9 @@ def test_approx_helpers():
 def test_ops_selection_and_policies():
     c = ExactComplex(Fraction(3, 5), Fraction(-4, 5))
     assert ops_for([c, EC_ONE]) is EXACT
-    approx = ops_for([c, 0.5j], eps=1e-6)
-    assert isinstance(approx, ApproxOps) and approx.eps == 1e-6
+    picked = ops_for([c, 0.5j])
+    assert isinstance(picked, ApproxOps) and picked.eps == DEFAULT_EPSILON
+    approx = ApproxOps(1e-6)
     assert EXACT.conj(c) == c.conj() and approx.conj(0.6 - 0.8j) == 0.6 + 0.8j
     assert EXACT.abs2(c) == 1 and approx.abs2(0.6 - 0.8j) == abs(0.6 - 0.8j) ** 2
     assert EXACT.real(c) == ExactComplex(Fraction(3, 5)) and approx.real(0.6 - 0.8j) == 0.6

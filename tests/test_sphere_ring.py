@@ -90,13 +90,9 @@ def test_star_and_tau():
     assert p.tau().tau() == p
 
 
-def test_weight_split():
+def test_is_homogeneous_of_weight():
     n = 2
     p = z(n, 1) + z(n, 1) * zb(n, 2) + ZPoly.one(n)
-    parts = p.weight_split()
-    assert set(parts) == {0, 1}
-    assert parts[1] == z(n, 1)
-    assert p.weight_part(0) == parts[0]
     assert p.is_homogeneous_of_weight(1) is False
     assert z(n, 1).is_homogeneous_of_weight(1)
 
