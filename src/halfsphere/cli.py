@@ -32,6 +32,7 @@ from .parsing import (
 from .projective import check_projector_relations, phi_inv
 from .representations import (
     REGULAR,
+    SpherePoint,
     classify_point,
     character,
     commutant_dimension,
@@ -381,6 +382,8 @@ def _run_pair(session: Session, args, out: Output) -> int:
     spec = _spec(session, args.gens)
     rng = Random(session.seed)
     sample = sample_points(session.n, rng)
+    if session.mode == "approx":
+        sample = [SpherePoint.from_floats(z.coords, session.epsilon) for z in sample]
     result = classify_pair(spec, sample)
     span = ideal_span(spec)
     graded = is_graded(spec)

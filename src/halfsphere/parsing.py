@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -60,17 +61,22 @@ def _fraction_of(text: str, pos: int) -> Fraction:
     """An unsigned decimal or n/d literal; '0.6', '.5' and '1e-05' read exactly.
 
     An exponent beyond +-999 is refused before Fraction builds 10**exponent;
-    every float lies well inside that range.
+    every float lies well inside that range.  A digit string longer than
+    Python converts to an int (sys.get_int_max_str_digits) is refused too.
     """
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise ParseError(f"zero denominator in {text!r}", pos)
-        return Fraction(int(num), int(den))
-    exponent_digits = text.lower().partition("e")[2].lstrip("+-").lstrip("0")
-    if len(exponent_digits) > 3:
-        raise ParseError(f"exponent out of range in {text!r}", pos)
-    return Fraction(text)
+    try:
+        if "/" in text:
+            num, den = text.split("/")
+            if int(den) == 0:
+                raise ParseError(f"zero denominator in {text!r}", pos)
+            return Fraction(int(num), int(den))
+        exponent_digits = text.lower().partition("e")[2].lstrip("+-").lstrip("0")
+        if len(exponent_digits) > 3:
+            raise ParseError(f"exponent out of range in {text!r}", pos)
+        return Fraction(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"scalar literal longer than {limit} digits", pos) from None
 
 
 class _Parser:

@@ -16,8 +16,10 @@ The closure runs on coordinate vectors.  Multiplying by a generator v_i on
 either side is a fixed linear map on the truncation's columns: a canonical
 monomial times one letter has at most one redex, so each column goes to one
 column with sign +1, or to n columns with signs +1, -1, ..., -1.  Each
-TruncationBasis builds these shift tables once, and a step is one table
-lookup per term.
+TruncationBasis builds these shift tables once, as the tuple of target
+columns per column, and a step is one table lookup per term.  The closure
+works on Gaussian-integer vectors (linalg.integral): each seed is scaled to
+integers once, which never changes a span, and a step only flips signs.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import CrossedElem, NCPoly, pi, nc_lift
 from .errors import DimensionError, PreconditionError
-from .linalg import Echelon, Vector, echelon_from, nullspace
+from .linalg import Echelon, Vector, ZVector, echelon_from, integral, nullspace
 from .representations import (
     REAL,
     REGULAR,
@@ -37,11 +39,12 @@ from .representations import (
     phi_rep,
     theta,
 )
-from .scalars import ExactComplex, add_term
+from .scalars import ExactComplex
 from .sphere_ring import ZMonomial, point_table, reduced_monomials
 
-# column -> the (column, +-1) terms of its product with one generator
-ShiftTable = Dict[int, Tuple[Tuple[int, int], ...]]
+# column -> the target columns of its product with one generator, the first
+# with sign +1 and the rest with sign -1; None for columns of degree d
+ShiftTable = List[Optional[Tuple[int, ...]]]
 
 
 class TruncationBasis:
@@ -96,8 +99,9 @@ class TruncationBasis:
     def shift(self, side: int, i: int) -> ShiftTable:
         """Multiplication by v_i on the left (side 0) or the right (side 1).
 
-        Maps each column of degree < d to the signed columns of its product;
-        columns of degree d have no entry.  Built on first use.
+        Indexed by column: a column of degree < d maps to the columns of its
+        product, signed +1 for the first and -1 for the rest; a column of
+        degree d maps to None.  Built on first use.
         """
         table = self._shifts.get((side, i))
         if table is None:
@@ -111,9 +115,10 @@ class TruncationBasis:
         unit[i - 1] = 1
         z = ZMonomial(unit, (0,) * self.n)
         zb = z.swapped()
-        table: ShiftTable = {}
-        for col, (grade, m) in enumerate(self.columns):
+        table: ShiftTable = []
+        for grade, m in self.columns:
             if m.degree == self.d:
+                table.append(None)
                 continue
             # (0, z_i)(f0, f1) = (z_i tau(f1), z_i tau(f0))
             # (f0, f1)(0, z_i) = (f1 z_i~, f0 z_i)
@@ -124,11 +129,10 @@ class TruncationBasis:
             # m is canonical, so the product has redex depth at most one
             if prod.has_redex():
                 base = prod.strip_leading_pair()
-                terms = [(base, 1)]
-                terms += [(base.raised_pair(j), -1) for j in range(1, self.n)]
+                terms = [base] + [base.raised_pair(j) for j in range(1, self.n)]
             else:
-                terms = [(prod, 1)]
-            table[col] = tuple((self.index[(1 - grade, t)], sign) for t, sign in terms)
+                terms = [prod]
+            table.append(tuple(self.index[(1 - grade, t)] for t in terms))
         return table
 
 
@@ -223,17 +227,17 @@ def _closure(
     at most d - b, so a step never meets a column of degree d.
     """
     ech = Echelon()
-    pending: Dict[int, List[Vector]] = {}
+    pending: Dict[int, List[ZVector]] = {}
     for g in gens:
         if g.is_zero():
             continue
         budget = tb.d - g.degree
         if budget < 0:
             raise PreconditionError("degree bound must cover every seed")
-        pending.setdefault(budget, []).append(tb.vector(pi(g)))
+        pending.setdefault(budget, []).append(integral(tb.vector(pi(g))))
     seen = set()
     for level in range(max(pending, default=-1), -1, -1):
-        fresh: List[Vector] = []
+        fresh: List[ZVector] = []
         for vec in pending.pop(level, []):
             # v_i g v_j is reached both ways
             key = frozenset(vec.items())
@@ -252,11 +256,21 @@ def _closure(
     return ech
 
 
-def _apply_shift(table: ShiftTable, vec: Vector) -> Vector:
-    out: Vector = {}
+def _apply_shift(table: ShiftTable, vec: ZVector) -> ZVector:
+    out: ZVector = {}
     for col, x in vec.items():
-        for target, sign in table[col]:
-            add_term(out, target, x if sign > 0 else -x)
+        sign = 1
+        for target in table[col]:
+            cur = out.get(target)
+            if cur is None:
+                out[target] = x if sign > 0 else (-x[0], -x[1])
+            else:
+                re, im = cur[0] + sign * x[0], cur[1] + sign * x[1]
+                if re or im:
+                    out[target] = (re, im)
+                else:
+                    del out[target]
+            sign = -1
     return out
 
 
@@ -299,7 +313,7 @@ def membership(spec: IdealSpec, x: NCPoly) -> bool:
     return ideal_span(spec).contains(pi(x))
 
 
-def _even_restriction(tb: TruncationBasis, row: Vector) -> Vector:
+def _even_restriction(tb: TruncationBasis, row: ZVector) -> ZVector:
     return {c: v for c, v in row.items() if tb.columns[c][0] == 0}
 
 
@@ -308,7 +322,7 @@ def is_graded(spec: IdealSpec) -> bool:
     its elements; equivalently, whether it is stable under the sign map nu."""
     span = ideal_span(spec)
     tb = span.basis
-    for row in span.echelon.rows():
+    for row in span.echelon.int_rows.values():
         even = _even_restriction(tb, row)
         if not span.contains_vector(even):
             return False
@@ -322,7 +336,7 @@ def graded_to_even(spec: IdealSpec) -> SpanBasis:
     span = ideal_span(spec)
     tb = span.basis
     ech = echelon_from(
-        _even_restriction(tb, row) for row in span.echelon.rows()
+        _even_restriction(tb, row) for row in span.echelon.int_rows.values()
     )
     return SpanBasis(tb, ech)
 

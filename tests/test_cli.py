@@ -213,6 +213,27 @@ def test_graded_codes():
     assert code == 1 and kv(text)["graded"] == "false"
 
 
+def test_pair_in_approx_mode_classifies_float_points():
+    argv = GOLDEN_ARGS["pair"]
+    exact = kv(run_ok(argv))
+    approx = kv(run_ok(["--mode", "approx"] + argv))
+    assert approx["mode"] == "approx"
+    for key in ("E_count", "F_count", "non_classical", "F_symmetric"):
+        assert approx[key] == exact[key]
+    for k in range(1, int(exact["F_count"]) + 1):
+        assert "/" in exact[f"F_{k}"]
+        assert "/" not in approx[f"F_{k}"] and "." in approx[f"F_{k}"]
+
+
+def test_pair_verdicts_follow_eps():
+    argv = ["--n", "2", "--degree", "4", "--seed", "5", "--format", "structured"]
+    gen = ["pair", "v1 - 4/5 - 1/1000000"]
+    assert kv(run_ok(argv + gen))["F_count"] == "0"
+    assert kv(run_ok(argv + ["--mode", "approx"] + gen))["F_count"] == "0"
+    loose = kv(run_ok(argv + ["--mode", "approx", "--eps", "1e-3"] + gen))
+    assert (loose["F_count"], loose["F_1"]) == ("2", "0.8+0.0i,0.6+0.0i")
+
+
 def test_pair_commutator_is_classical_sphere():
     d = kv(run_ok(["--n", "2", "--degree", "4", "--seed", "5",
                    "--format", "structured", "pair", "v1*v2 - v2*v1"]))
@@ -301,6 +322,10 @@ PARSE_ERRORS = {
         "zero denominator in '3/0' (at position 0)",
     ("--n", "2", "classify", "1" + "0" * 400 + ".0,0"):
         "coordinate out of float range (at position 0)",
+    ("--n", "2", "nf", "1" + "0" * 5000 + "*v1"):
+        "scalar literal longer than 4300 digits (at position 0)",
+    ("--n", "2", "classify", "1" + "0" * 5000 + ".0,0"):
+        "scalar literal longer than 4300 digits (at position 0)",
 }
 
 

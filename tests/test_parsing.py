@@ -188,6 +188,18 @@ def test_zero_denominator_is_a_parse_error(text, mode):
         parse_point(text, 2, mode=mode)
 
 
+@pytest.mark.parametrize("text", ["1" + "0" * 5000 + ".0,0", "0,1/3" + "0" * 5000 + "i"])
+def test_overlong_literal_in_a_point_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="scalar literal longer than 4300 digits"):
+        parse_point(text, 2)
+
+
+def test_overlong_literal_in_an_expression_is_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse_expr("v2 + 1" + "0" * 5000 + "*v1", 2)
+    assert err.value.position == 5
+
+
 @pytest.mark.parametrize("text", ["1" + "0" * 400 + ".0,0", "0,-1" + "0" * 400 + "i"])
 def test_float_coordinate_out_of_range_is_a_parse_error(text):
     with pytest.raises(ParseError, match="out of float range"):

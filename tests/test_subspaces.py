@@ -413,14 +413,16 @@ def test_shift_tables_match_generator_products(n, d):
     tb = _basis(n, d)
     for i in range(1, n + 1):
         left, right = tb.shift(0, i), tb.shift(1, i)
+        assert len(left) == len(right) == tb.column_count
         vi = CrossedElem.generator(n, i)
         for c, (grade, m) in enumerate(tb.columns):
             if m.degree == d:
-                assert c not in left and c not in right
+                assert left[c] is None and right[c] is None
                 continue
             e_c = tb.element({c: EC_ONE})
             for table, product in ((left, vi * e_c), (right, e_c * vi)):
-                entry = {col: ExactComplex(Fraction(sign)) for col, sign in table[c]}
+                signs = [1] + [-1] * (len(table[c]) - 1)
+                entry = {col: ExactComplex(Fraction(s)) for col, s in zip(table[c], signs)}
                 assert entry == tb.vector(product)
 
 
