@@ -153,8 +153,7 @@ class CrossedElem:
 
     def grade(self) -> Tuple["CrossedElem", "CrossedElem"]:
         """Even and odd parts of the Z_2-grading by parity of word length."""
-        zero = ZPoly.zero(self.n)
-        return CrossedElem(self.f0, zero), CrossedElem(zero, self.f1)
+        return self.even_part(), self.odd_part()
 
     def even_part(self) -> "CrossedElem":
         return CrossedElem(self.f0, ZPoly.zero(self.n))

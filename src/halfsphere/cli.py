@@ -20,6 +20,7 @@ from .algebra import nc_lift
 from .errors import HalfsphereError, ParseError, PreconditionError
 from .parsing import (
     format_crossed,
+    format_float_complex,
     format_mat2,
     format_ncpoly,
     format_point,
@@ -53,16 +54,6 @@ from .subspaces import (
     sampled_f_symmetric,
     vanishing_ideal,
 )
-
-
-@dataclass
-class Session:
-    n: int = 3
-    mode: str = "exact"
-    epsilon: float = DEFAULT_EPSILON
-    degree_bound: int = 5
-    seed: int = 0
-    fmt: str = "text"
 
 
 @dataclass
@@ -114,91 +105,28 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=["text", "structured"], default="text", dest="fmt"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name, help_text, *specs):
+    for name, (help_text, positionals, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for args, kwargs in specs:
-            p.add_argument(*args, **kwargs)
-        return p
-
-    cmd("nf", "canonical form and a lift", ((["expr"], {})))
-    cmd("eq", "decide equality of two expressions", (["left"], {}), (["right"], {}))
-    cmd("grade", "even and odd parts", ((["expr"], {})))
-    cmd("nu", "apply the sign automorphism", ((["expr"], {})))
-    cmd("gamma", "apply the conjugation transport map", ((["expr"], {})))
-    cmd("phi", "apply the projective correspondence", ((["expr"], {})))
-    cmd("phi-inv", "invert the correspondence on an even element", ((["expr"], {})))
-    cmd("theta", "evaluate the 2x2 representation", (["point"], {}), (["expr"], {}))
-    cmd("phirep", "evaluate the character at a real point", (["point"], {}), (["expr"], {}))
-    cmd("char", "trace of the representation", (["point"], {}), (["expr"], {}))
-    cmd("classify", "classify a sphere point", ((["point"], {})))
-    cmd("orbit", "decide orbit equivalence of two points", (["left"], {}), (["right"], {}))
-    cmd("span", "span of a truncated ideal", ((["gens"], {"nargs": "+"})))
-    cmd(
-        "member",
-        "membership of an element in a truncated ideal",
-        (["target"], {}),
-        (["gens"], {"nargs": "+"}),
-    )
-    cmd("graded", "is the truncated ideal graded", ((["gens"], {"nargs": "+"})))
-    cmd("pair", "classify the quantum subspace pair (E, F)", ((["gens"], {"nargs": "+"})))
-    cmd("vanish", "vanishing ideal of sampled points", ((["points"], {"nargs": "*"})))
-    cmd("projcheck", "verify the projector presentation")
-    cmd("verify", "run acceptance suites", ((["suite"], {"nargs": "?", "default": "all"})))
+        for arg in positionals:
+            p.add_argument(arg, **_POSITIONAL_OPTIONS.get(arg, {}))
     return parser
 
 
-def _session(args) -> Session:
-    if args.n < 1:
-        raise PreconditionError("n must be at least 1")
-    if args.degree < 0:
-        raise PreconditionError("degree bound must be nonnegative")
-    if not args.eps > 0:
-        raise PreconditionError("eps must be positive")
-    return Session(
-        n=args.n,
-        mode=args.mode,
-        epsilon=args.eps,
-        degree_bound=args.degree,
-        seed=args.seed,
-        fmt=args.fmt,
-    )
+def _point(args, text: str):
+    return parse_point(text, args.n, args.mode, args.eps)
 
 
-def _emit_session(out: Output, session: Session):
-    out.section("session")
-    if out.fmt == "structured":
-        out.pair("n", session.n)
-        out.pair("mode", session.mode)
-        out.pair("degree", session.degree_bound)
-        out.pair("seed", session.seed)
-
-
-def _parse_nc(session: Session, text: str):
-    return parse_expr(text, session.n).as_nc()
-
-
-def _parse_model(session: Session, text: str):
-    """The canonical image pi(x) of a v-expression, evaluated in the model."""
-    return parse_model(text, session.n)
-
-
-def _point(session: Session, text: str):
-    return parse_point(text, session.n, session.mode, session.epsilon)
-
-
-def _spec(session: Session, gen_texts) -> IdealSpec:
-    gens = tuple(_parse_nc(session, g) for g in gen_texts)
-    return IdealSpec(session.n, gens, session.degree_bound)
+def _spec(args) -> IdealSpec:
+    gens = tuple(parse_expr(g, args.n).as_nc() for g in args.gens)
+    return IdealSpec(args.n, gens, args.degree)
 
 
 # ----------------------------------------------------------------------
 # command handlers
 
 
-def _run_nf(session: Session, args, out: Output) -> int:
-    x = _parse_model(session, args.expr)
-    _emit_session(out, session)
+def _run_nf(args, out: Output) -> int:
+    x = parse_model(args.expr, args.n)
     out.section("nf")
     out.pair("input", args.expr, text=f"input: {args.expr}")
     if out.fmt == "structured":
@@ -211,11 +139,10 @@ def _run_nf(session: Session, args, out: Output) -> int:
     return 0
 
 
-def _run_eq(session: Session, args, out: Output) -> int:
-    left = _parse_model(session, args.left)
-    right = _parse_model(session, args.right)
+def _run_eq(args, out: Output) -> int:
+    left = parse_model(args.left, args.n)
+    right = parse_model(args.right, args.n)
     equal = left == right
-    _emit_session(out, session)
     out.section("eq")
     out.pair("left", args.left, text=f"left:  {args.left}")
     out.pair("right", args.right, text=f"right: {args.right}")
@@ -223,10 +150,9 @@ def _run_eq(session: Session, args, out: Output) -> int:
     return 0 if equal else 1
 
 
-def _run_grade(session: Session, args, out: Output) -> int:
-    x = _parse_model(session, args.expr)
+def _run_grade(args, out: Output) -> int:
+    x = parse_model(args.expr, args.n)
     even, odd = x.grade()
-    _emit_session(out, session)
     out.section("grade")
     if out.fmt == "structured":
         out.pair("even", format_zpoly(even.f0))
@@ -239,11 +165,10 @@ def _run_grade(session: Session, args, out: Output) -> int:
     return 0
 
 
-def _run_unary(session: Session, args, out: Output) -> int:
+def _run_unary(args, out: Output) -> int:
     name = args.command
-    x = _parse_model(session, args.expr)
+    x = parse_model(args.expr, args.n)
     result = x.nu() if name == "nu" else x.gamma()
-    _emit_session(out, session)
     out.section(name)
     if out.fmt == "structured":
         out.pair("even", format_zpoly(result.f0))
@@ -255,67 +180,59 @@ def _run_unary(session: Session, args, out: Output) -> int:
     return 0
 
 
-def _run_phi(session: Session, args, out: Output) -> int:
-    e = parse_expr(args.expr, session.n).as_p()
+def _run_phi(args, out: Output) -> int:
+    e = parse_expr(args.expr, args.n).as_p()
     result = e.phi()
-    _emit_session(out, session)
     out.section("phi")
     out.pair("result", format_ncpoly(result), text=f"phi: {format_ncpoly(result)}")
     return 0
 
 
-def _run_phi_inv(session: Session, args, out: Output) -> int:
-    x = _parse_model(session, args.expr)
+def _run_phi_inv(args, out: Output) -> int:
+    x = parse_model(args.expr, args.n)
     f = phi_inv(x)
-    _emit_session(out, session)
     out.section("phi-inv")
     out.pair("result", format_zpoly(f), text=f"phi-inv: {format_zpoly(f)}")
     return 0
 
 
-def _run_theta(session: Session, args, out: Output) -> int:
-    z = _point(session, args.point)
-    x = _parse_model(session, args.expr)
+def _run_theta(args, out: Output) -> int:
+    z = _point(args, args.point)
+    x = parse_model(args.expr, args.n)
     m = theta(z, x)
-    _emit_session(out, session)
     out.section("theta")
     out.pair("point", format_point(z), text=f"point: {format_point(z)}")
     out.pair("matrix", format_mat2(m), text=f"theta: {format_mat2(m)}")
     return 0
 
 
-def _run_phirep(session: Session, args, out: Output) -> int:
-    y = _point(session, args.point)
-    x = _parse_model(session, args.expr)
+def _run_phirep(args, out: Output) -> int:
+    y = _point(args, args.point)
+    x = parse_model(args.expr, args.n)
     value = phi_rep(y, x)
-    _emit_session(out, session)
     out.section("phirep")
     out.pair("point", format_point(y), text=f"point: {format_point(y)}")
     out.pair("value", format_value(value), text=f"phi: {format_value(value)}")
     return 0
 
 
-def _run_char(session: Session, args, out: Output) -> int:
-    z = _point(session, args.point)
-    x = _parse_model(session, args.expr)
+def _run_char(args, out: Output) -> int:
+    z = _point(args, args.point)
+    x = parse_model(args.expr, args.n)
     value = character(z, x)
-    _emit_session(out, session)
     out.section("char")
     out.pair("point", format_point(z), text=f"point: {format_point(z)}")
     out.pair("value", format_value(value), text=f"character: {format_value(value)}")
     return 0
 
 
-def _run_classify(session: Session, args, out: Output) -> int:
-    z = _point(session, args.point)
+def _run_classify(args, out: Output) -> int:
+    z = _point(args, args.point)
     cls = classify_point(z)
-    _emit_session(out, session)
     out.section("classify")
     out.pair("point", format_point(z), text=f"point: {format_point(z)}")
     out.pair("class", cls.tag, text=f"class: {cls.tag}")
     if cls.witness is not None:
-        from .parsing import format_float_complex
-
         out.pair(
             "witness",
             format_float_complex(cls.witness),
@@ -332,11 +249,10 @@ def _run_classify(session: Session, args, out: Output) -> int:
     return 0
 
 
-def _run_orbit(session: Session, args, out: Output) -> int:
-    a = _point(session, args.left)
-    b = _point(session, args.right)
+def _run_orbit(args, out: Output) -> int:
+    a = _point(args, args.left)
+    b = _point(args, args.right)
     eq = orbit_equivalent(a, b)
-    _emit_session(out, session)
     out.section("orbit")
     out.pair("left", format_point(a), text=f"left:  {format_point(a)}")
     out.pair("right", format_point(b), text=f"right: {format_point(b)}")
@@ -344,10 +260,9 @@ def _run_orbit(session: Session, args, out: Output) -> int:
     return 0 if eq else 1
 
 
-def _run_span(session: Session, args, out: Output) -> int:
-    spec = _spec(session, args.gens)
+def _run_span(args, out: Output) -> int:
+    spec = _spec(args)
     span = ideal_span(spec)
-    _emit_session(out, session)
     out.section("span")
     _emit_generators(out, args.gens)
     out.pair("degree_bound", spec.degree_bound, text=f"degree bound: {spec.degree_bound}")
@@ -356,11 +271,10 @@ def _run_span(session: Session, args, out: Output) -> int:
     return 0
 
 
-def _run_member(session: Session, args, out: Output) -> int:
-    spec = _spec(session, args.gens)
-    target = _parse_nc(session, args.target)
+def _run_member(args, out: Output) -> int:
+    spec = _spec(args)
+    target = parse_expr(args.target, args.n).as_nc()
     inside = membership(spec, target)
-    _emit_session(out, session)
     out.section("member")
     out.pair("target", args.target, text=f"target: {args.target}")
     _emit_generators(out, args.gens)
@@ -368,26 +282,24 @@ def _run_member(session: Session, args, out: Output) -> int:
     return 0 if inside else 1
 
 
-def _run_graded(session: Session, args, out: Output) -> int:
-    spec = _spec(session, args.gens)
+def _run_graded(args, out: Output) -> int:
+    spec = _spec(args)
     graded = is_graded(spec)
-    _emit_session(out, session)
     out.section("graded")
     _emit_generators(out, args.gens)
     out.pair("graded", _bool(graded), text="graded" if graded else "not graded")
     return 0 if graded else 1
 
 
-def _run_pair(session: Session, args, out: Output) -> int:
-    spec = _spec(session, args.gens)
-    rng = Random(session.seed)
-    sample = sample_points(session.n, rng)
-    if session.mode == "approx":
-        sample = [SpherePoint.from_floats(z.coords, session.epsilon) for z in sample]
+def _run_pair(args, out: Output) -> int:
+    spec = _spec(args)
+    rng = Random(args.seed)
+    sample = sample_points(args.n, rng)
+    if args.mode == "approx":
+        sample = [SpherePoint.from_floats(z.coords, args.eps) for z in sample]
     result = classify_pair(spec, sample)
     span = ideal_span(spec)
     graded = is_graded(spec)
-    _emit_session(out, session)
     out.section("ideal")
     _emit_generators(out, args.gens)
     out.pair("degree_bound", spec.degree_bound, text=f"degree bound: {spec.degree_bound}")
@@ -413,25 +325,23 @@ def _run_pair(session: Session, args, out: Output) -> int:
     return 0
 
 
-def _run_vanish(session: Session, args, out: Output) -> int:
-    points = [_point(session, p) for p in args.points]
-    span = vanishing_ideal(points, session.degree_bound, session.n)
-    _emit_session(out, session)
+def _run_vanish(args, out: Output) -> int:
+    points = [_point(args, p) for p in args.points]
+    span = vanishing_ideal(points, args.degree, args.n)
     out.section("vanish")
     out.pair("point_count", len(points), text=f"{len(points)} points")
     for k, z in enumerate(points, start=1):
         out.pair(f"point_{k}", format_point(z), text=f"  point {k}: {format_point(z)}")
-    out.pair("degree_bound", session.degree_bound, text=f"degree bound: {session.degree_bound}")
+    out.pair("degree_bound", args.degree, text=f"degree bound: {args.degree}")
     out.pair("dimension", span.dimension, text=f"kernel dimension: {span.dimension}")
     _emit_basis(out, span)
     return 0
 
 
-def _run_projcheck(session: Session, args, out: Output) -> int:
-    report = check_projector_relations(session.n)
-    _emit_session(out, session)
+def _run_projcheck(args, out: Output) -> int:
+    report = check_projector_relations(args.n)
     out.section("projcheck")
-    out.pair("n", session.n, text=f"n = {session.n}")
+    out.pair("n", args.n, text=f"n = {args.n}")
     out.pair("adjoint", _bool(report.adjoint_ok), text=f"p = p*: {_bool(report.adjoint_ok)}")
     out.pair("idempotent", _bool(report.idempotent_ok), text=f"p = p^2: {_bool(report.idempotent_ok)}")
     out.pair("trace", _bool(report.trace_ok), text=f"tr(p) = 1: {_bool(report.trace_ok)}")
@@ -439,7 +349,7 @@ def _run_projcheck(session: Session, args, out: Output) -> int:
     return 0 if report.passed else 1
 
 
-def _run_verify(session: Session, args, out: Output) -> int:
+def _run_verify(args, out: Output) -> int:
     from .verify import run_suites, suite_names
 
     name = args.suite
@@ -451,8 +361,7 @@ def _run_verify(session: Session, args, out: Output) -> int:
         raise PreconditionError(
             f"unknown suite {name!r}; available: all, " + ", ".join(suite_names())
         )
-    results = run_suites(names, seed=session.seed)
-    _emit_session(out, session)
+    results = run_suites(names, seed=args.seed)
     out.section("verify")
     ok = True
     for r in results:
@@ -479,36 +388,58 @@ def _emit_basis(out: Output, span):
         out.pair(f"basis_{k}", lift, text=f"  basis {k}: {lift}")
 
 
-_HANDLERS = {
-    "nf": _run_nf,
-    "eq": _run_eq,
-    "grade": _run_grade,
-    "nu": _run_unary,
-    "gamma": _run_unary,
-    "phi": _run_phi,
-    "phi-inv": _run_phi_inv,
-    "theta": _run_theta,
-    "phirep": _run_phirep,
-    "char": _run_char,
-    "classify": _run_classify,
-    "orbit": _run_orbit,
-    "span": _run_span,
-    "member": _run_member,
-    "graded": _run_graded,
-    "pair": _run_pair,
-    "vanish": _run_vanish,
-    "projcheck": _run_projcheck,
-    "verify": _run_verify,
+# name -> (help, positional arguments, handler), in --help order
+_COMMANDS = {
+    "nf": ("canonical form and a lift", ("expr",), _run_nf),
+    "eq": ("decide equality of two expressions", ("left", "right"), _run_eq),
+    "grade": ("even and odd parts", ("expr",), _run_grade),
+    "nu": ("apply the sign automorphism", ("expr",), _run_unary),
+    "gamma": ("apply the conjugation transport map", ("expr",), _run_unary),
+    "phi": ("apply the projective correspondence", ("expr",), _run_phi),
+    "phi-inv": ("invert the correspondence on an even element", ("expr",), _run_phi_inv),
+    "theta": ("evaluate the 2x2 representation", ("point", "expr"), _run_theta),
+    "phirep": ("evaluate the character at a real point", ("point", "expr"), _run_phirep),
+    "char": ("trace of the representation", ("point", "expr"), _run_char),
+    "classify": ("classify a sphere point", ("point",), _run_classify),
+    "orbit": ("decide orbit equivalence of two points", ("left", "right"), _run_orbit),
+    "span": ("span of a truncated ideal", ("gens",), _run_span),
+    "member": (
+        "membership of an element in a truncated ideal",
+        ("target", "gens"),
+        _run_member,
+    ),
+    "graded": ("is the truncated ideal graded", ("gens",), _run_graded),
+    "pair": ("classify the quantum subspace pair (E, F)", ("gens",), _run_pair),
+    "vanish": ("vanishing ideal of sampled points", ("points",), _run_vanish),
+    "projcheck": ("verify the projector presentation", (), _run_projcheck),
+    "verify": ("run acceptance suites", ("suite",), _run_verify),
+}
+
+# argparse options of the positional arguments that are not a single value
+_POSITIONAL_OPTIONS = {
+    "gens": {"nargs": "+"},
+    "points": {"nargs": "*"},
+    "suite": {"nargs": "?", "default": "all"},
 }
 
 
 def run(argv) -> "tuple[int, str]":
     """Parse argv, execute, and return (exit_code, output_text)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    session = _session(args)
-    out = Output(fmt=session.fmt)
-    code = _HANDLERS[args.command](session, args, out)
+    args = build_parser().parse_args(argv)
+    if args.n < 1:
+        raise PreconditionError("n must be at least 1")
+    if args.degree < 0:
+        raise PreconditionError("degree bound must be nonnegative")
+    if not args.eps > 0:
+        raise PreconditionError("eps must be positive")
+    out = Output(fmt=args.fmt)
+    out.section("session")
+    if out.fmt == "structured":
+        out.pair("n", args.n)
+        out.pair("mode", args.mode)
+        out.pair("degree", args.degree)
+        out.pair("seed", args.seed)
+    code = _COMMANDS[args.command][2](args, out)
     return code, out.render()
 
 

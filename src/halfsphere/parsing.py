@@ -431,13 +431,14 @@ def format_scalar(c: ExactComplex) -> str:
     return f"{format_rational(c.re)}{sign}{imtxt}"
 
 
-def _format_float(x: float) -> str:
-    return repr(x)
+def _format_complex(re, im, number) -> str:
+    """`re+|im|i` or `re-|im|i`, each part printed by `number`."""
+    sign = "+" if im >= 0 else "-"
+    return f"{number(re)}{sign}{number(abs(im))}i"
 
 
 def format_float_complex(c: complex) -> str:
-    sign = "+" if c.imag >= 0 else "-"
-    return f"{_format_float(c.real)}{sign}{_format_float(abs(c.imag))}i"
+    return _format_complex(c.real, c.imag, repr)
 
 
 def _join_terms(rendered: List[Tuple[str, ExactComplex]]) -> str:
@@ -548,10 +549,5 @@ def format_value(v) -> str:
 
 def format_point(p: SpherePoint) -> str:
     if p.exact:
-        out = []
-        for c in p.coords:
-            sign = "+" if c.im >= 0 else "-"
-            mag = abs(c.im)
-            out.append(f"{format_rational(c.re)}{sign}{format_rational(mag)}i")
-        return ",".join(out)
+        return ",".join(_format_complex(c.re, c.im, format_rational) for c in p.coords)
     return ",".join(format_float_complex(c) for c in p.coords)

@@ -315,8 +315,8 @@ def rational_unit_vector(params: Sequence[Fraction]) -> List[Fraction]:
     return [(1 - s) / den] + [2 * u / den for u in params]
 
 
-def _random_fraction(rng: Random, span: int = 3, max_den: int = 4) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
+def _random_fraction(rng: Random) -> Fraction:
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
 
 
 def sample_real_point(n: int, rng: Random) -> SpherePoint:
@@ -330,7 +330,7 @@ def sample_torus_real_point(n: int, rng: Random) -> SpherePoint:
     return SpherePoint(tuple(ExactComplex(-c.im, c.re) for c in y.coords))
 
 
-def sample_regular_point(n: int, rng: Random, max_tries: int = 500) -> SpherePoint:
+def sample_regular_point(n: int, rng: Random) -> SpherePoint:
     """A generic exact point; rejection-samples until Regular.
 
     Draws 2n real coordinates on S^{2n-1} and packs consecutive pairs into
@@ -338,7 +338,7 @@ def sample_regular_point(n: int, rng: Random, max_tries: int = 500) -> SpherePoi
     """
     if n < 2:
         raise PreconditionError("no regular points exist for n = 1")
-    for _ in range(max_tries):
+    for _ in range(500):
         xs = rational_unit_vector([_random_fraction(rng) for _ in range(2 * n - 1)])
         coords = [
             ExactComplex(xs[2 * k], xs[2 * k + 1]) for k in range(n)
@@ -355,15 +355,12 @@ def sample_points(
     n_real: int = 4,
     n_torus: int = 2,
     n_regular: int = 4,
-    include_negations: bool = True,
 ) -> List[SpherePoint]:
     """A deterministic mixed sample for pair classification reports."""
     points: List[SpherePoint] = []
     for _ in range(n_real):
         y = sample_real_point(n, rng)
-        points.append(y)
-        if include_negations:
-            points.append(y.negate())
+        points.extend([y, y.negate()])
     for _ in range(n_torus):
         points.append(sample_torus_real_point(n, rng))
     if n >= 2:

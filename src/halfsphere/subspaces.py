@@ -283,18 +283,12 @@ def ideal_span(spec: IdealSpec) -> SpanBasis:
     return SpanBasis(tb, _closure(tb, spec.generators, steps))
 
 
-def even_ideal_span(
-    gens: Sequence[NCPoly], degree_bound: int, n: Optional[int] = None
-) -> SpanBasis:
+def even_ideal_span(gens: Sequence[NCPoly], degree_bound: int, n: int) -> SpanBasis:
     """Span of {pi(w1 g w2)} over even words w1, w2 within the degree bound.
 
     This is the ideal generated inside the even subalgebra when every
     generator is even.
     """
-    if n is None:
-        if not gens:
-            raise DimensionError("need n when the generator list is empty")
-        n = gens[0].n
     tb = _basis(n, degree_bound)
     letters = range(1, n + 1)
     # v_i v_j x = v_i (v_j x) and x v_i v_j = (x v_i) v_j
@@ -341,9 +335,7 @@ def graded_to_even(spec: IdealSpec) -> SpanBasis:
     return SpanBasis(tb, ech)
 
 
-def even_to_graded(
-    gens: Sequence[NCPoly], degree_bound: int, n: Optional[int] = None
-) -> IdealSpec:
+def even_to_graded(gens: Sequence[NCPoly], degree_bound: int, n: int) -> IdealSpec:
     """From even generators to the graded ideal with the same even part.
 
     The result adjoins v_i * g for every generator; its span decomposes as
@@ -351,18 +343,11 @@ def even_to_graded(
     ideal span of the generators must be stable under gamma (otherwise no
     graded ideal has this even part and a PreconditionError is raised).
     """
-    if n is None:
-        if not gens:
-            raise DimensionError("need n when the generator list is empty")
-        n = gens[0].n
-    images = []
     for g in gens:
         if g.n != n:
             raise DimensionError("generator dimension does not match n")
-        img = pi(g)
-        if not img.f1.is_zero():
+        if not pi(g).f1.is_zero():
             raise PreconditionError("even_to_graded requires even generators")
-        images.append(img)
     span = even_ideal_span(gens, degree_bound, n)
     for b in span.vectors():
         if not span.contains(b.gamma()):
@@ -422,19 +407,13 @@ def sampled_f_symmetric(pair: PairEF) -> bool:
     return all(p.negate().coords in coords for p in pair.F)
 
 
-def vanishing_ideal(
-    points: Sequence[SpherePoint], degree_bound: int, n: Optional[int] = None
-) -> SpanBasis:
+def vanishing_ideal(points: Sequence[SpherePoint], degree_bound: int, n: int) -> SpanBasis:
     """All truncated canonical forms annihilated by the given points.
 
     A real point y imposes the single functional phi_y; any other point z
     imposes the four matrix entries of theta_z.  Points must be exact since
     the kernel is computed by exact elimination.
     """
-    if n is None:
-        if not points:
-            raise DimensionError("need n when the point list is empty")
-        n = points[0].n
     tb = _basis(n, degree_bound)
     rows: List[Vector] = []
     for z in points:

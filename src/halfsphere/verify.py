@@ -62,7 +62,16 @@ class SuiteResult:
     passed: bool
     summary: str
     details: List[str] = field(default_factory=list)
-    seconds: float = 0.0  # wall time of the suite, set by run_suite
+    seconds: float = 0.0  # wall time of the suite
+
+
+class _SuiteFailure(Exception):
+    """A suite met a wrong answer; run_suite reports the message as FAIL."""
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise _SuiteFailure(message)
 
 
 # ----------------------------------------------------------------------
@@ -107,88 +116,60 @@ def _unit_scalars() -> List[ExactComplex]:
 
 
 # ----------------------------------------------------------------------
-# suites, in acceptance order
+# suites, in acceptance order: each appends detail lines to `details`,
+# fails through _require and returns its pass summary
 
 
-def _suite_relations(rng: Random) -> SuiteResult:
+def _suite_relations(rng: Random, details: List[str]) -> str:
     checks = 0
     for n in (2, 3, 4):
         total = NCPoly.zero(n)
         for i in range(1, n + 1):
             vi = NCPoly.generator(n, i)
             total = total + vi * vi
-        if pi(total) != CrossedElem.unit(n):
-            return SuiteResult(
-                "relations", False, f"sum of squares is not 1 at n={n}"
-            )
+        _require(pi(total) == CrossedElem.unit(n), f"sum of squares is not 1 at n={n}")
         checks += 1
         for i, j, k in iproduct(range(1, n + 1), repeat=3):
             vi, vj, vk = (NCPoly.generator(n, t) for t in (i, j, k))
-            if not pi(vi * vj * vk - vk * vj * vi).is_zero():
-                return SuiteResult(
-                    "relations", False, f"half-commutation fails at ({i},{j},{k}), n={n}"
-                )
+            _require(
+                pi(vi * vj * vk - vk * vj * vi).is_zero(),
+                f"half-commutation fails at ({i},{j},{k}), n={n}",
+            )
             checks += 1
-    return SuiteResult(
-        "relations",
-        True,
-        f"sphere relation and all half-commutators hold for n=2,3,4 ({checks} checks)",
-    )
+    return f"sphere relation and all half-commutators hold for n=2,3,4 ({checks} checks)"
 
 
-def _suite_homomorphism(rng: Random) -> SuiteResult:
+def _suite_homomorphism(rng: Random, details: List[str]) -> str:
     for t in range(200):
         n = (2, 3, 4)[t % 3]
         p = _rand_ncpoly(rng, n, 5)
         q = _rand_ncpoly(rng, n, 5)
-        if pi(p * q) != pi(p) * pi(q):
-            return SuiteResult("homomorphism", False, f"pi(pq) != pi(p)pi(q) at trial {t}")
-        if pi(p.star()) != pi(p).star():
-            return SuiteResult("homomorphism", False, f"pi(p*) != pi(p)* at trial {t}")
-    return SuiteResult(
-        "homomorphism", True, "pi respects products and adjoints on 200 random pairs"
-    )
+        _require(pi(p * q) == pi(p) * pi(q), f"pi(pq) != pi(p)pi(q) at trial {t}")
+        _require(pi(p.star()) == pi(p).star(), f"pi(p*) != pi(p)* at trial {t}")
+    return "pi respects products and adjoints on 200 random pairs"
 
 
-def _suite_even_commutativity(rng: Random) -> SuiteResult:
+def _suite_even_commutativity(rng: Random, details: List[str]) -> str:
     for t in range(200):
         n = (2, 3, 4)[t % 3]
         x = pi(_rand_even_ncpoly(rng, n, 4))
         y = pi(_rand_even_ncpoly(rng, n, 4))
-        if x * y != y * x:
-            return SuiteResult(
-                "even_commutativity", False, f"even elements fail to commute at trial {t}"
-            )
-    return SuiteResult(
-        "even_commutativity", True, "200 random even pairs commute exactly"
-    )
+        _require(x * y == y * x, f"even elements fail to commute at trial {t}")
+    return "200 random even pairs commute exactly"
 
 
-def _suite_projector_presentation(rng: Random) -> SuiteResult:
-    details = []
+def _suite_projector_presentation(rng: Random, details: List[str]) -> str:
     for n in range(1, 6):
         report = check_projector_relations(n)
         details.append(
             f"n={n}: adjoint={report.adjoint_ok} idempotent={report.idempotent_ok} "
             f"trace={report.trace_ok}"
         )
-        if not report.passed:
-            return SuiteResult(
-                "projector_presentation",
-                False,
-                f"projector relations fail at n={n}",
-                details,
-            )
-    return SuiteResult(
-        "projector_presentation",
-        True,
-        "p = p* = p^2 and tr(p) = 1 hold for n = 1..5",
-        details,
-    )
+        _require(report.passed, f"projector relations fail at n={n}")
+    return "p = p* = p^2 and tr(p) = 1 hold for n = 1..5"
 
 
-def _suite_phi_bijectivity(rng: Random) -> SuiteResult:
-    details = []
+def _suite_phi_bijectivity(rng: Random, details: List[str]) -> str:
     for n in (1, 2, 3):
         pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
         for m in (1, 2, 3):
@@ -205,24 +186,16 @@ def _suite_phi_bijectivity(rng: Random) -> SuiteResult:
             ]
             left = echelon_from(image_vecs)
             right = echelon_from(word_vecs)
-            if left != right:
-                return SuiteResult(
-                    "phi_bijectivity",
-                    False,
-                    f"phi image span mismatch at n={n}, m={m} "
-                    f"({left.dimension} vs {right.dimension})",
-                    details,
-                )
+            _require(
+                left == right,
+                f"phi image span mismatch at n={n}, m={m} "
+                f"({left.dimension} vs {right.dimension})",
+            )
             details.append(f"n={n} m={m}: span dimension {left.dimension}")
-    return SuiteResult(
-        "phi_bijectivity",
-        True,
-        "phi(p-monomials of length m) spans all even words of length 2m, n<=3, m<=3",
-        details,
-    )
+    return "phi(p-monomials of length m) spans all even words of length 2m, n<=3, m<=3"
 
 
-def _suite_gamma_diagram(rng: Random) -> SuiteResult:
+def _suite_gamma_diagram(rng: Random, details: List[str]) -> str:
     count = 0
     for n in (1, 2, 3):
         pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
@@ -231,14 +204,10 @@ def _suite_gamma_diagram(rng: Random) -> SuiteResult:
                 expr = PExpr.one(n)
                 for (i, j) in seq:
                     expr = expr * PExpr.generator(n, i, j)
-                lhs = pi(expr.tau_p().phi())
-                rhs = pi(expr.phi()).gamma()
-                if lhs != rhs:
-                    return SuiteResult(
-                        "gamma_diagram",
-                        False,
-                        f"phi(tau(P)) != gamma(phi(P)) at n={n}, monomial {seq}",
-                    )
+                _require(
+                    pi(expr.tau_p().phi()) == pi(expr.phi()).gamma(),
+                    f"phi(tau(P)) != gamma(phi(P)) at n={n}, monomial {seq}",
+                )
                 count += 1
     # closed form vs the defining sum, recomputed here from scratch
     for t in range(100):
@@ -248,32 +217,22 @@ def _suite_gamma_diagram(rng: Random) -> SuiteResult:
         for i in range(1, n + 1):
             vi = CrossedElem.generator(n, i)
             total = total + vi * x * vi
-        if x.gamma() != total:
-            return SuiteResult(
-                "gamma_diagram", False, f"gamma closed form != defining sum at trial {t}"
-            )
-    return SuiteResult(
-        "gamma_diagram",
-        True,
+        _require(x.gamma() == total, f"gamma closed form != defining sum at trial {t}")
+    return (
         f"diagram commutes on {count} p-monomials; closed form matches the defining "
-        "sum on 100 random elements",
+        "sum on 100 random elements"
     )
 
 
-def _suite_intertwining(rng: Random) -> SuiteResult:
+def _suite_intertwining(rng: Random, details: List[str]) -> str:
     for t in range(200):
         n = (2, 3, 4)[t % 3]
         x = pi(_rand_even_ncpoly(rng, n, 4))
         gx = x.gamma()
         for i in range(1, n + 1):
             vi = CrossedElem.generator(n, i)
-            if vi * x != gx * vi:
-                return SuiteResult(
-                    "intertwining", False, f"v_{i} x != gamma(x) v_{i} at trial {t}"
-                )
-    return SuiteResult(
-        "intertwining", True, "v_i x = gamma(x) v_i for 200 random even x, n <= 4"
-    )
+            _require(vi * x == gx * vi, f"v_{i} x != gamma(x) v_{i} at trial {t}")
+    return "v_i x = gamma(x) v_i for 200 random even x, n <= 4"
 
 
 def _eig_multiset(values) -> Dict[Tuple[Fraction, Fraction], int]:
@@ -284,7 +243,7 @@ def _eig_multiset(values) -> Dict[Tuple[Fraction, Fraction], int]:
     return out
 
 
-def _suite_representation_theory(rng: Random) -> SuiteResult:
+def _suite_representation_theory(rng: Random, details: List[str]) -> str:
     n = 3
     reals = [sample_real_point(n, rng) for _ in range(50)]
     torus = [sample_torus_real_point(n, rng) for _ in range(50)]
@@ -294,41 +253,32 @@ def _suite_representation_theory(rng: Random) -> SuiteResult:
         + [(z, TORUS_REAL) for z in torus]
         + [(z, REGULAR) for z in generic]
     ):
-        if classify_point(z).tag != tag:
-            return SuiteResult(
-                "representation_theory", False, f"construction-forced class broke: {tag}"
-            )
+        _require(classify_point(z).tag == tag, f"construction-forced class broke: {tag}")
     points = reals + torus + generic
     for idx, z in enumerate(points):
         x = pi(_rand_ncpoly(rng, n, 3))
         y = pi(_rand_ncpoly(rng, n, 3))
-        if not theta(z, x * y).eq(theta(z, x) * theta(z, y)):
-            return SuiteResult(
-                "representation_theory", False, f"theta not multiplicative at point {idx}"
-            )
-        if not theta(z, x.star()).eq(theta(z, x).adjoint()):
-            return SuiteResult(
-                "representation_theory", False, f"theta not adjoint-compatible at {idx}"
-            )
-        if is_irreducible(z) != (commutant_dimension(z) == 1):
-            return SuiteResult(
-                "representation_theory",
-                False,
-                f"irreducibility disagrees with commutant dimension at point {idx}",
-            )
+        _require(
+            theta(z, x * y).eq(theta(z, x) * theta(z, y)),
+            f"theta not multiplicative at point {idx}",
+        )
+        _require(
+            theta(z, x.star()).eq(theta(z, x).adjoint()),
+            f"theta not adjoint-compatible at {idx}",
+        )
+        _require(
+            is_irreducible(z) == (commutant_dimension(z) == 1),
+            f"irreducibility disagrees with commutant dimension at point {idx}",
+        )
         for lam in _unit_scalars():
-            if character(z.scale(lam), x) != character(z, x):
-                return SuiteResult(
-                    "representation_theory",
-                    False,
-                    f"character not constant under scaling at point {idx}",
-                )
-        if character(z.conjugate(), x) != character(z, x):
-            return SuiteResult(
-                "representation_theory",
-                False,
-                f"character not constant under conjugation at point {idx}",
+            _require(
+                character(z.scale(lam), x) == character(z, x),
+                f"character not constant under scaling at point {idx}",
             )
+        _require(
+            character(z.conjugate(), x) == character(z, x),
+            f"character not constant under conjugation at point {idx}",
+        )
     # spectra at non-regular points against the two characters
     for t in range(20):
         z = torus[t] if t % 2 == 0 else reals[t]
@@ -337,21 +287,16 @@ def _suite_representation_theory(rng: Random) -> SuiteResult:
         yplus, yminus = decompose_nonregular(z)
         eig = theta(z, x).eigenvalues()
         want = (phi_rep(yplus, x), phi_rep(yminus, x))
-        if not all(isinstance(e, ExactComplex) for e in eig):
-            return SuiteResult(
-                "representation_theory", False, f"spectrum not exact at trial {t}"
-            )
-        if _eig_multiset(eig) != _eig_multiset(want):
-            return SuiteResult(
-                "representation_theory",
-                False,
-                f"spectrum differs from character values at trial {t}",
-            )
-    return SuiteResult(
-        "representation_theory",
-        True,
+        _require(
+            all(isinstance(e, ExactComplex) for e in eig), f"spectrum not exact at trial {t}"
+        )
+        _require(
+            _eig_multiset(eig) == _eig_multiset(want),
+            f"spectrum differs from character values at trial {t}",
+        )
+    return (
         "theta *-homomorphism, irreducibility = trivial commutant, character "
-        "orbit-constancy on 150 points; 20 non-regular spectra match the characters",
+        "orbit-constancy on 150 points; 20 non-regular spectra match the characters"
     )
 
 
@@ -413,19 +358,12 @@ def _draw_homogeneous_ideal(rng: Random) -> Tuple[int, Tuple[NCPoly, ...], int]:
     return n, (vi * vj - vj * vi,), d
 
 
-def _suite_graded_bijection(rng: Random) -> SuiteResult:
+def _suite_graded_bijection(rng: Random, details: List[str]) -> str:
     for t in range(20):
         n, gens, d = _draw_homogeneous_ideal(rng)
         err = _round_trips(n, gens, d)
-        if err is not None:
-            return SuiteResult(
-                "graded_bijection", False, f"trial {t} (n={n}, d={d}): {err}"
-            )
-    return SuiteResult(
-        "graded_bijection",
-        True,
-        "G/F round trips hold for 20 random homogeneous-generator ideals (n<=3, d<=5)",
-    )
+        _require(err is None, f"trial {t} (n={n}, d={d}): {err}")
+    return "G/F round trips hold for 20 random homogeneous-generator ideals (n<=3, d<=5)"
 
 
 def _pad_point(z: SpherePoint) -> SpherePoint:
@@ -433,8 +371,7 @@ def _pad_point(z: SpherePoint) -> SpherePoint:
     return SpherePoint((zero,) + z.coords)
 
 
-def _suite_subspace_dictionary(rng: Random) -> SuiteResult:
-    details = []
+def _suite_subspace_dictionary(rng: Random, details: List[str]) -> str:
     # commutator ideal: classical sphere, E empty, F everything real
     for n in (2, 3):
         gens = []
@@ -448,24 +385,13 @@ def _suite_subspace_dictionary(rng: Random) -> SuiteResult:
         real_sampled = tuple(
             z for z in sample if classify_point(z).tag == REAL
         )
-        if pair.E:
-            return SuiteResult(
-                "subspace_dictionary", False, f"commutator ideal has nonempty E at n={n}"
-            )
-        if pair.F != real_sampled:
-            return SuiteResult(
-                "subspace_dictionary",
-                False,
-                f"commutator ideal misses real samples at n={n}",
-            )
-        if pair.non_classical:
-            return SuiteResult(
-                "subspace_dictionary", False, "commutator ideal flagged non-classical"
-            )
-        if not is_graded(spec) or not sampled_f_symmetric(pair):
-            return SuiteResult(
-                "subspace_dictionary", False, f"commutator ideal not sigma stable, n={n}"
-            )
+        _require(not pair.E, f"commutator ideal has nonempty E at n={n}")
+        _require(pair.F == real_sampled, f"commutator ideal misses real samples at n={n}")
+        _require(not pair.non_classical, "commutator ideal flagged non-classical")
+        _require(
+            is_graded(spec) and sampled_f_symmetric(pair),
+            f"commutator ideal not sigma stable, n={n}",
+        )
         details.append(f"commutators n={n}: E empty, F = all {len(pair.F)} real samples")
     # transported projective ideal matches the commutator ideal at n = 2
     transported = transport_ideal(
@@ -474,12 +400,10 @@ def _suite_subspace_dictionary(rng: Random) -> SuiteResult:
     v1, v2 = NCPoly.generator(2, 1), NCPoly.generator(2, 2)
     comm_span = ideal_span(IdealSpec(2, (v1 * v2 - v2 * v1,), 4))
     trans_span = ideal_span(IdealSpec(2, tuple(transported), 4))
-    if comm_span != trans_span:
-        return SuiteResult(
-            "subspace_dictionary",
-            False,
-            "transport of p12 - p21 differs from the commutator ideal at degree 4",
-        )
+    _require(
+        comm_span == trans_span,
+        "transport of p12 - p21 differs from the commutator ideal at degree 4",
+    )
     details.append(f"transport(p12 - p21) span dimension {trans_span.dimension} matches")
     # <v1^2>: survivors are exactly the sampled points with z1 = 0
     n = 3
@@ -494,30 +418,19 @@ def _suite_subspace_dictionary(rng: Random) -> SuiteResult:
     sample = sample_points(n, rng) + padded
     pair = classify_pair(spec, sample)
     survivors = list(pair.E) + list(pair.F)
-    if not survivors:
-        return SuiteResult("subspace_dictionary", False, "<v1^2> killed every sample")
-    if not all(z.coords[0].is_zero() for z in survivors):
-        return SuiteResult(
-            "subspace_dictionary", False, "<v1^2> admitted a sample with z1 != 0"
-        )
-    if not pair.E or not pair.F:
-        return SuiteResult(
-            "subspace_dictionary", False, "<v1^2> missed the padded z1 = 0 samples"
-        )
+    _require(bool(survivors), "<v1^2> killed every sample")
+    _require(
+        all(z.coords[0].is_zero() for z in survivors), "<v1^2> admitted a sample with z1 != 0"
+    )
+    _require(bool(pair.E and pair.F), "<v1^2> missed the padded z1 = 0 samples")
     details.append(
         f"<v1^2>: {len(pair.E)} regular and {len(pair.F)} real survivors, all with z1 = 0"
     )
-    return SuiteResult(
-        "subspace_dictionary",
-        True,
-        "commutator ideal is the classical sphere, transport matches, <v1^2> cuts z1 = 0",
-        details,
-    )
+    return "commutator ideal is the classical sphere, transport matches, <v1^2> cuts z1 = 0"
 
 
-def _suite_intermediate_subspaces(rng: Random) -> SuiteResult:
+def _suite_intermediate_subspaces(rng: Random, details: List[str]) -> str:
     n, d = 3, 4
-    details = []
     for m in range(1, 6):
         orbits: List[SpherePoint] = []
         while len(orbits) < m:
@@ -541,35 +454,22 @@ def _suite_intermediate_subspaces(rng: Random) -> SuiteResult:
                 decoys.append(w)
         pair = classify_pair(spec, fresh + decoys)
         recovered = set(pair.E)
-        if not all(z in recovered for z in fresh):
-            return SuiteResult(
-                "intermediate_subspaces",
-                False,
-                f"m={m}: an orbit replica failed to survive the vanishing ideal",
-            )
-        if any(w in recovered for w in decoys):
-            return SuiteResult(
-                "intermediate_subspaces", False, f"m={m}: a decoy orbit survived"
-            )
+        _require(
+            all(z in recovered for z in fresh),
+            f"m={m}: an orbit replica failed to survive the vanishing ideal",
+        )
+        _require(
+            not any(w in recovered for w in decoys), f"m={m}: a decoy orbit survived"
+        )
         classes: List[SpherePoint] = []
         for z in pair.E:
             if all(not orbit_equivalent(z, w) for w in classes):
                 classes.append(z)
-        if len(classes) != m:
-            return SuiteResult(
-                "intermediate_subspaces",
-                False,
-                f"m={m}: recovered {len(classes)} orbit classes",
-            )
+        _require(len(classes) == m, f"m={m}: recovered {len(classes)} orbit classes")
         details.append(
             f"m={m}: kernel dimension {kernel.dimension}, recovered exactly {m} orbits"
         )
-    return SuiteResult(
-        "intermediate_subspaces",
-        True,
-        "vanishing ideals recover exactly m = 1..5 pairwise non-equivalent orbits",
-        details,
-    )
+    return "vanishing ideals recover exactly m = 1..5 pairwise non-equivalent orbits"
 
 
 _GOLDEN_CASES: List[Tuple[str, List[str]]] = [
@@ -615,62 +515,54 @@ def golden_cases() -> List[Tuple[str, List[str]]]:
     return [(name, list(argv)) for name, argv in _GOLDEN_CASES]
 
 
-def _suite_cli_golden(rng: Random) -> SuiteResult:
+def _suite_cli_golden(rng: Random, details: List[str]) -> str:
     from . import cli
 
-    details = []
     for name, argv in golden_cases():
         code1, text1 = cli.run(argv)
         code2, text2 = cli.run(argv)
-        if (code1, text1) != (code2, text2):
-            return SuiteResult(
-                "cli_golden", False, f"{name} output differs between identical runs"
-            )
-        if code1 != 0:
-            return SuiteResult(
-                "cli_golden", False, f"{name} exited with {code1}"
-            )
+        _require(
+            (code1, text1) == (code2, text2), f"{name} output differs between identical runs"
+        )
+        _require(code1 == 0, f"{name} exited with {code1}")
         details.append(f"{name}: {len(text1.splitlines())} lines, bit-identical")
-    return SuiteResult(
-        "cli_golden",
-        True,
-        f"all {len(details)} golden structured outputs are bit-identical across runs",
-        details,
-    )
+    return f"all {len(details)} golden structured outputs are bit-identical across runs"
 
 
-_SUITES: List[Tuple[str, Callable[[Random], SuiteResult]]] = [
-    ("relations", _suite_relations),
-    ("homomorphism", _suite_homomorphism),
-    ("even_commutativity", _suite_even_commutativity),
-    ("projector_presentation", _suite_projector_presentation),
-    ("phi_bijectivity", _suite_phi_bijectivity),
-    ("gamma_diagram", _suite_gamma_diagram),
-    ("intertwining", _suite_intertwining),
-    ("representation_theory", _suite_representation_theory),
-    ("graded_bijection", _suite_graded_bijection),
-    ("subspace_dictionary", _suite_subspace_dictionary),
-    ("intermediate_subspaces", _suite_intermediate_subspaces),
-    ("cli_golden", _suite_cli_golden),
-]
+_SUITES: Dict[str, Callable[[Random, List[str]], str]] = {
+    "relations": _suite_relations,
+    "homomorphism": _suite_homomorphism,
+    "even_commutativity": _suite_even_commutativity,
+    "projector_presentation": _suite_projector_presentation,
+    "phi_bijectivity": _suite_phi_bijectivity,
+    "gamma_diagram": _suite_gamma_diagram,
+    "intertwining": _suite_intertwining,
+    "representation_theory": _suite_representation_theory,
+    "graded_bijection": _suite_graded_bijection,
+    "subspace_dictionary": _suite_subspace_dictionary,
+    "intermediate_subspaces": _suite_intermediate_subspaces,
+    "cli_golden": _suite_cli_golden,
+}
 
 
 def suite_names() -> List[str]:
-    return [name for name, _ in _SUITES]
+    return list(_SUITES)
 
 
 def run_suite(name: str, seed: int = 0) -> SuiteResult:
-    for suite_name, fn in _SUITES:
-        if suite_name == name:
-            start = perf_counter()
-            result = fn(Random(f"{seed}:{suite_name}"))
-            result.seconds = perf_counter() - start
-            return result
-    raise KeyError(f"unknown suite {name!r}")
+    if name not in _SUITES:
+        raise KeyError(f"unknown suite {name!r}")
+    details: List[str] = []
+    start = perf_counter()
+    try:
+        passed, summary = True, _SUITES[name](Random(f"{seed}:{name}"), details)
+    except _SuiteFailure as failure:
+        passed, summary = False, str(failure)
+    return SuiteResult(name, passed, summary, details, perf_counter() - start)
 
 
 def run_suites(names: Optional[Sequence[str]] = None, seed: int = 0) -> List[SuiteResult]:
     chosen = list(names) if names is not None else suite_names()
-    order = {name: k for k, (name, _) in enumerate(_SUITES)}
+    order = {name: k for k, name in enumerate(_SUITES)}
     chosen.sort(key=lambda nm: order.get(nm, len(order)))
     return [run_suite(nm, seed) for nm in chosen]

@@ -4,6 +4,7 @@ Everything goes through run() or main() with argv lists; expected
 values are frozen strings checked against the structured format.
 """
 
+import argparse
 import io
 import contextlib
 import os
@@ -15,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from halfsphere.cli import main, run
+import halfsphere.cli as cli
+from halfsphere.cli import build_parser, main, run
 from halfsphere.verify import golden_cases
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -274,6 +276,26 @@ def test_verify_structured_output_has_no_timing():
     assert code == 0
     assert "relations = pass" in text.splitlines()
     assert " s]" not in text and "seconds" not in text
+
+
+HELP_ORDER = [
+    "nf", "eq", "grade", "nu", "gamma", "phi", "phi-inv", "theta", "phirep", "char",
+    "classify", "orbit", "span", "member", "graded", "pair", "vanish", "projcheck",
+    "verify",
+]
+
+
+def test_subcommands_follow_the_command_table():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == HELP_ORDER == list(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("name", ["nu", "gamma"])
+def test_shared_handler_prints_its_own_section(name):
+    structured = run_ok(["--n", "2", "--format", "structured", name, "v1*v2"])
+    assert f"[{name}]" in structured.splitlines()
+    assert run_ok(["--n", "2", name, "v1*v2"]).startswith(f"{name}: ")
 
 
 def test_session_header_reflects_flags():
