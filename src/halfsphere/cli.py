@@ -12,9 +12,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 from random import Random
-from typing import List
+from typing import List, NamedTuple
 
 from .algebra import nc_lift
 from .errors import HalfsphereError, ParseError, PreconditionError
@@ -56,10 +55,9 @@ from .subspaces import (
 )
 
 
-@dataclass
-class Output:
+class Output(NamedTuple):
     fmt: str
-    lines: List[str] = field(default_factory=list)
+    lines: List[str]
 
     def section(self, name: str):
         if self.fmt == "structured":
@@ -432,7 +430,7 @@ def run(argv) -> "tuple[int, str]":
         raise PreconditionError("degree bound must be nonnegative")
     if not args.eps > 0:
         raise PreconditionError("eps must be positive")
-    out = Output(fmt=args.fmt)
+    out = Output(args.fmt, [])
     out.section("session")
     if out.fmt == "structured":
         out.pair("n", args.n)

@@ -25,9 +25,8 @@ from __future__ import annotations
 import functools
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .algebra import CrossedElem, NCPoly, nc_lift, pi, pi_components, twisted_product
 from .errors import DimensionError, MixedAlphabetError, ParseError, PreconditionError
@@ -240,8 +239,7 @@ def _scalar_from_groups(m: re.Match) -> ExactComplex:
 _V_EXPECTED = "expected an expression in the v-generators"
 
 
-@dataclass
-class ParsedExpr:
+class ParsedExpr(NamedTuple):
     kind: str  # "v", "p" or "const"
     n: int
     nc: Optional[NCPoly]

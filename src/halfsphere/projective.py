@@ -12,8 +12,7 @@ of e, 0), and on even elements the inverse is reading off the f0 component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 from .algebra import CrossedElem, NCPoly, Word
 from .errors import DimensionError, PreconditionError
@@ -99,8 +98,7 @@ def transport_ideal(gens: Iterable[PExpr]) -> List[NCPoly]:
     return [g.phi() for g in gens]
 
 
-@dataclass(frozen=True)
-class ProjectorReport:
+class ProjectorReport(NamedTuple):
     n: int
     adjoint_ok: bool
     idempotent_ok: bool

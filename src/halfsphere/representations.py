@@ -21,28 +21,25 @@ scalars.ApproxOps(eps)), and no operation takes a tolerance of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import CrossedElem
 from .errors import DimensionError, PreconditionError
-from .scalars import DEFAULT_EPSILON, EXACT, ApproxOps, ExactComplex, ops_for
+from .scalars import DEFAULT_EPSILON, EXACT, ApproxOps, ExactComplex, Frozen, ops_for
 
 REAL = "Real"
 TORUS_REAL = "TorusReal"
 REGULAR = "Regular"
 
 
-@dataclass(frozen=True)
-class PointClass:
+class PointClass(NamedTuple):
     tag: str
     witness: Optional[complex] = None
 
 
-@dataclass(frozen=True)
-class SpherePoint:
+class SpherePoint(Frozen):
     """A point of the complex unit sphere: coordinates with sum |z_i|^2 = 1.
 
     Coordinates are all ExactComplex (exact point) or all complex (float
@@ -52,14 +49,13 @@ class SpherePoint:
     no part in equality or hashing.
     """
 
-    coords: tuple
-    ops: object = field(default=None, compare=False, repr=False)
+    __slots__ = ("coords", "ops")
+    _compared = ("coords",)
 
-    def __post_init__(self):
-        if not self.coords:
+    def __init__(self, coords: tuple, ops=None):
+        if not coords:
             raise DimensionError("a sphere point needs at least one coordinate")
-        if self.ops is None:
-            object.__setattr__(self, "ops", ops_for(self.coords))
+        self._init(coords, ops_for(coords) if ops is None else ops)
 
     @property
     def n(self) -> int:

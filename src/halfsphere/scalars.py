@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -40,23 +39,66 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected an int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class ExactComplex:
+_new = object.__new__
+_set = object.__setattr__
+
+
+class Frozen:
+    """Base of immutable slotted values.
+
+    A subclass lists its fields in __slots__, in constructor order, and sets
+    them once through _init.  The fields in _compared (those of _values)
+    decide ==, hash and repr; pickles and copies call the constructor again.
+    """
+
+    __slots__ = ()
+    _compared: tuple = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot change field {name!r} of an immutable value")
+
+    __delattr__ = __setattr__
+
+
+class ExactComplex(Frozen):
     """A Gaussian rational re + im*i."""
 
-    re: Rational = Fraction(0)
-    im: Rational = Fraction(0)
+    __slots__ = _compared = ("re", "im")
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", _as_fraction(self.re))
-        object.__setattr__(self, "im", _as_fraction(self.im))
+    def __init__(self, re=0, im=0):
+        self._init(_as_fraction(re), _as_fraction(im))
+
+    def _values(self) -> tuple:  # the generic loop, unrolled: scalars compare often
+        return self.re, self.im
 
     @staticmethod
     def of(re, im=0) -> "ExactComplex":
-        return ExactComplex(Fraction(re), Fraction(im))
+        return _mk(Fraction(re), Fraction(im))
 
     def conj(self) -> "ExactComplex":
-        return ExactComplex(self.re, -self.im)
+        return _mk(self.re, -self.im)
 
     def modulus_squared(self) -> Rational:
         return self.re * self.re + self.im * self.im
@@ -68,29 +110,29 @@ class ExactComplex:
         return self.re == 0 and self.im == 0
 
     def __add__(self, other: "ExactComplex") -> "ExactComplex":
-        return ExactComplex(self.re + other.re, self.im + other.im)
+        return _mk(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "ExactComplex") -> "ExactComplex":
-        return ExactComplex(self.re - other.re, self.im - other.im)
+        return _mk(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> "ExactComplex":
-        return ExactComplex(-self.re, -self.im)
+        return _mk(-self.re, -self.im)
 
     def __mul__(self, other):
         if isinstance(other, ExactComplex):
-            return ExactComplex(
+            return _mk(
                 self.re * other.re - self.im * other.im,
                 self.re * other.im + self.im * other.re,
             )
         if isinstance(other, (int, Fraction)):
-            return ExactComplex(self.re * other, self.im * other)
+            return _mk(self.re * other, self.im * other)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return ExactComplex(self.re / other, self.im / other)
+            return _mk(self.re / other, self.im / other)
         if isinstance(other, ExactComplex):
             m = other.modulus_squared()
             if m == 0:
@@ -118,6 +160,14 @@ class ExactComplex:
         return f"{self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i"
 
 
+def _mk(re: Fraction, im: Fraction) -> ExactComplex:
+    """ExactComplex(re, im) for two Fractions, unchecked: arithmetic results."""
+    z = _new(ExactComplex)
+    _set(z, "re", re)
+    _set(z, "im", im)
+    return z
+
+
 EC_ZERO = ExactComplex()
 EC_ONE = ExactComplex(Fraction(1))
 EC_I = ExactComplex(Fraction(0), Fraction(1))
@@ -134,6 +184,9 @@ class ExactOps:
     is_real = staticmethod(ExactComplex.is_real)
     eq = staticmethod(operator.eq)
     abs2 = staticmethod(ExactComplex.modulus_squared)
+
+    def __reduce__(self):
+        return "EXACT"  # pickles and copies as the one module instance
 
     @staticmethod
     def real(c: ExactComplex) -> ExactComplex:
@@ -269,6 +322,15 @@ class SparseTerms:
         self.terms = clean
         self._hash = None
 
+    @classmethod
+    def _trusted(cls, n: int, terms: dict):
+        """An instance over terms its own arithmetic built: keys valid, no zero."""
+        out = _new(cls)
+        out.n = n
+        out.terms = terms
+        out._hash = None
+        return out
+
     @staticmethod
     def _unit_key(n: int):
         return ()
@@ -299,7 +361,7 @@ class SparseTerms:
         out = dict(self.terms)
         for k, c in other.terms.items():
             add_term(out, k, c)
-        return type(self)(self.n, out)
+        return self._trusted(self.n, out)
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -307,7 +369,7 @@ class SparseTerms:
         return self + (-other)
 
     def __neg__(self):
-        return type(self)(self.n, {k: -c for k, c in self.terms.items()})
+        return self._trusted(self.n, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         cls = type(self)
@@ -319,10 +381,12 @@ class SparseTerms:
             for k1, c1 in self.terms.items():
                 for k2, c2 in other.terms.items():
                     add_term(out, key_mul(k1, k2), c1 * c2)
-            return cls(self.n, out)
+            return self._trusted(self.n, out)
         if isinstance(other, (ExactComplex, int, Fraction)):
             c = other if isinstance(other, ExactComplex) else ExactComplex.of(other)
-            return cls(self.n, {k: v * c for k, v in self.terms.items()})
+            if c.is_zero():
+                return cls(self.n)
+            return self._trusted(self.n, {k: v * c for k, v in self.terms.items()})
         return NotImplemented
 
     @property

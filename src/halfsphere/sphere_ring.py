@@ -78,9 +78,6 @@ class ZMonomial:
         """Exchange every z_i with z_i~ (the effect of tau on monomials)."""
         return ZMonomial(self.b, self.a)
 
-    def has_redex(self) -> bool:
-        return self.a[0] > 0 and self.b[0] > 0
-
     def strip_leading_pair(self) -> "ZMonomial":
         a = list(self.a)
         b = list(self.b)
@@ -172,6 +169,12 @@ class ZPoly(SparseTerms):
         super().__init__(n, terms)
         self._reduced = not self.terms
 
+    @classmethod
+    def _trusted(cls, n: int, terms: dict, reduced: bool = False) -> "ZPoly":
+        out = super()._trusted(n, terms)
+        out._reduced = reduced or not terms
+        return out
+
     @staticmethod
     def _key(n: int, m: ZMonomial) -> ZMonomial:
         if m.n != n:
@@ -212,15 +215,13 @@ class ZPoly(SparseTerms):
 
     def star(self) -> "ZPoly":
         """Pointwise complex conjugation: coefficients conjugated, z <-> z~."""
-        out = ZPoly(self.n, {m.swapped(): c.conj() for m, c in self.terms.items()})
-        out._reduced = self._reduced  # the redex condition is symmetric in a, b
-        return out
+        terms = {m.swapped(): c.conj() for m, c in self.terms.items()}
+        return ZPoly._trusted(self.n, terms, self._reduced)  # redexes are symmetric in a, b
 
     def tau(self) -> "ZPoly":
         """The conjugation automorphism z_i -> z_i~ with coefficients untouched."""
-        out = ZPoly(self.n, {m.swapped(): c for m, c in self.terms.items()})
-        out._reduced = self._reduced
-        return out
+        terms = {m.swapped(): c for m, c in self.terms.items()}
+        return ZPoly._trusted(self.n, terms, self._reduced)
 
     def is_homogeneous_of_weight(self, w: int) -> bool:
         return all(m.weight == w for m in self.terms)
@@ -251,9 +252,7 @@ class ZPoly(SparseTerms):
                 neg = -c
                 for i in range(1, self.n):
                     add_term(lower, base.raised_pair(i), neg)
-        result = ZPoly(self.n, levels[0])
-        result._reduced = True
-        return result
+        return ZPoly._trusted(self.n, levels[0], True)
 
     # ------------------------------------------------------------------
     # evaluation
@@ -288,24 +287,26 @@ def sphere_relation(n: int) -> ZPoly:
     return ZPoly(n, terms)
 
 
-def compositions(total: int, parts: int) -> Iterator[tuple]:
+@lru_cache(maxsize=None)
+def compositions(total: int, parts: int) -> Tuple[tuple, ...]:
     """All tuples of `parts` nonnegative ints summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    if parts == 0:
+        return ((),) if total == 0 else ()
+    return tuple(
+        (first,) + rest
+        for first in range(total + 1)
+        for rest in compositions(total - first, parts - 1)
+    )
 
 
 def reduced_monomials(n: int, weight: int, max_degree: int) -> Iterator[ZMonomial]:
-    """All canonical monomials of the given weight and degree <= max_degree."""
+    """All canonical monomials (a_1 = 0 or b_1 = 0) of the given weight and
+    degree <= max_degree."""
     start = abs(weight)
     for deg in range(start, max_degree + 1, 2):
         sa = (deg + weight) // 2
         sb = (deg - weight) // 2
+        zero_b1 = [(0,) + rest for rest in compositions(sb, n - 1)]
         for a in compositions(sa, n):
-            for b in compositions(sb, n):
-                if a[0] > 0 and b[0] > 0:
-                    continue
+            for b in zero_b1 if a[0] else compositions(sb, n):
                 yield ZMonomial(a, b)

@@ -24,9 +24,9 @@ integers once, which never changes a span, and a step only flips signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import CrossedElem, NCPoly, pi, nc_lift
 from .errors import DimensionError, PreconditionError
@@ -39,7 +39,7 @@ from .representations import (
     phi_rep,
     theta,
 )
-from .scalars import ExactComplex
+from .scalars import ExactComplex, Frozen
 from .sphere_ring import ZMonomial, point_table, reduced_monomials
 
 # column -> the target columns of its product with one generator, the first
@@ -52,6 +52,8 @@ class TruncationBasis:
 
     Columns are (grade, monomial) pairs ordered by descending degree, so any
     element of degree <= D reduces against pivots of degree <= D only.
+    index maps (grade, a, b), with a and b the monomial's exponent tuples,
+    to the column.
     """
 
     __slots__ = ("n", "d", "columns", "index", "_shifts")
@@ -59,13 +61,11 @@ class TruncationBasis:
     def __init__(self, n: int, d: int):
         self.n = n
         self.d = d
-        cols: List[Tuple[int, ZMonomial]] = []
-        for grade in (0, 1):
-            for m in reduced_monomials(n, grade, d):
-                cols.append((grade, m))
-        cols.sort(key=lambda c: (c[1].degree, c[0]) + c[1].sort_key()[1:], reverse=True)
-        self.columns = cols
-        self.index = {c: i for i, c in enumerate(cols)}
+        # grade is the parity of the degree, so the monomial's key orders columns
+        cols = [(grade, m) for grade in (0, 1) for m in reduced_monomials(n, grade, d)]
+        cols.sort(key=lambda c: c[1].sort_key(), reverse=True)
+        self.columns: List[Tuple[int, ZMonomial]] = cols
+        self.index = {(grade, m.a, m.b): i for i, (grade, m) in enumerate(cols)}
         self._shifts: Dict[Tuple[int, int], ShiftTable] = {}
 
     @property
@@ -78,7 +78,7 @@ class TruncationBasis:
         vec: Vector = {}
         for grade, f in ((0, x.f0), (1, x.f1)):
             for m, c in f.terms.items():
-                idx = self.index.get((grade, m))
+                idx = self.index.get((grade, m.a, m.b))
                 if idx is None:
                     raise PreconditionError(
                         f"degree overflow: monomial of degree {m.degree} exceeds bound {self.d}"
@@ -109,30 +109,31 @@ class TruncationBasis:
         return table
 
     def _build_shift(self, side: int, i: int) -> ShiftTable:
-        if not 1 <= i <= self.n:
-            raise DimensionError(f"generator index {i} out of range 1..{self.n}")
-        unit = [0] * self.n
-        unit[i - 1] = 1
-        z = ZMonomial(unit, (0,) * self.n)
-        zb = z.swapped()
-        table: ShiftTable = []
-        for grade, m in self.columns:
-            if m.degree == self.d:
-                table.append(None)
-                continue
-            # (0, z_i)(f0, f1) = (z_i tau(f1), z_i tau(f0))
-            # (f0, f1)(0, z_i) = (f1 z_i~, f0 z_i)
-            if side == 0:
-                prod = m.swapped() * z
+        # (0, z_i)(f0, f1) = (z_i tau(f1), z_i tau(f0)), (f0, f1)(0, z_i) =
+        # (f1 z_i~, f0 z_i): the product raises one exponent tuple p of the
+        # column at i and keeps the other, q.  The column is canonical, so a
+        # redex arises only for i = 1 and q_1 > 0; the rewrite gives the base
+        # (p, q - e_1) and the base times z_j z_j~ for each j >= 2.
+        n, index, columns = self.n, self.index, self.columns
+        if not 1 <= i <= n:
+            raise DimensionError(f"generator index {i} out of range 1..{n}")
+        k = i - 1
+        # columns run by descending degree: the first top have degree d
+        top = bisect_left(columns, 1 - self.d, key=lambda c: -c[1].degree)
+        table: ShiftTable = [None] * top
+        for grade, m in columns[top:]:
+            p, q = (m.a, m.b) if side == 1 and grade == 0 else (m.b, m.a)
+            if k == 0 and q[0]:
+                q = (q[0] - 1,) + q[1:]
+                pairs = [(p, q)] + [
+                    (p[:j] + (p[j] + 1,) + p[j + 1:], q[:j] + (q[j] + 1,) + q[j + 1:])
+                    for j in range(1, n)
+                ]
             else:
-                prod = m * (z if grade == 0 else zb)
-            # m is canonical, so the product has redex depth at most one
-            if prod.has_redex():
-                base = prod.strip_leading_pair()
-                terms = [base] + [base.raised_pair(j) for j in range(1, self.n)]
-            else:
-                terms = [prod]
-            table.append(tuple(self.index[(1 - grade, t)] for t in terms))
+                pairs = [(p[:k] + (p[k] + 1,) + p[k + 1:], q)]
+            if side == 1 and grade == 1:  # p is the b tuple
+                pairs = [(y, x) for x, y in pairs]
+            table.append(tuple([index[(1 - grade, x, y)] for x, y in pairs]))
         return table
 
 
@@ -141,25 +142,23 @@ def _basis(n: int, d: int) -> TruncationBasis:
     return TruncationBasis(n, d)
 
 
-@dataclass(frozen=True)
-class IdealSpec:
+class IdealSpec(Frozen):
     """A two-sided ideal presentation: generators plus the truncation degree."""
 
-    n: int
-    generators: Tuple[NCPoly, ...]
-    degree_bound: int
+    __slots__ = _compared = ("n", "generators", "degree_bound")
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-        for g in self.generators:
-            if g.n != self.n:
+    def __init__(self, n: int, generators: Sequence[NCPoly], degree_bound: int):
+        generators = tuple(generators)
+        for g in generators:
+            if g.n != n:
                 raise DimensionError("generator dimension does not match n")
-            if g.degree > self.degree_bound:
+            if g.degree > degree_bound:
                 raise PreconditionError(
                     "degree bound must be at least the maximal generator degree"
                 )
-        if self.degree_bound < 0:
+        if degree_bound < 0:
             raise PreconditionError("degree bound must be nonnegative")
+        self._init(n, generators, degree_bound)
 
 
 class SpanBasis:
@@ -365,8 +364,7 @@ def even_to_graded(gens: Sequence[NCPoly], degree_bound: int, n: int) -> IdealSp
     return IdealSpec(n, tuple(new_gens), degree_bound)
 
 
-@dataclass(frozen=True)
-class PairEF:
+class PairEF(NamedTuple):
     """Sampled subspace data: E regular points, F real points."""
 
     E: Tuple[SpherePoint, ...]

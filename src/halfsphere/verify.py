@@ -12,12 +12,11 @@ trusting the library implementation twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, product as iproduct
 from random import Random
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import CrossedElem, NCPoly, pi
 from .linalg import echelon_from
@@ -27,6 +26,7 @@ from .representations import (
     REGULAR,
     TORUS_REAL,
     SpherePoint,
+    _random_fraction,
     character,
     classify_point,
     commutant_dimension,
@@ -56,13 +56,12 @@ from .subspaces import (
 )
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     passed: bool
     summary: str
-    details: List[str] = field(default_factory=list)
-    seconds: float = 0.0  # wall time of the suite
+    details: List[str]
+    seconds: float  # wall time of the suite
 
 
 class _SuiteFailure(Exception):
@@ -79,12 +78,8 @@ def _require(ok: bool, message: str) -> None:
 # arithmetic never balloons)
 
 
-def _rand_fraction(rng: Random) -> Fraction:
-    return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-
-
 def _rand_scalar(rng: Random) -> ExactComplex:
-    c = ExactComplex(_rand_fraction(rng), _rand_fraction(rng))
+    c = ExactComplex(_random_fraction(rng), _random_fraction(rng))
     if c.is_zero():
         return EC_ONE
     return c

@@ -6,13 +6,12 @@ themselves live in halfsphere.verify and are also reachable through
 `halfsphere verify <name>`.
 """
 
-from dataclasses import replace
-
 import pytest
 
 import halfsphere.cli as cli
 import halfsphere.verify as verify
 from halfsphere.algebra import CrossedElem
+from halfsphere.projective import ProjectorReport
 from halfsphere.verify import golden_cases, run_suite, suite_names
 
 CRITERIA = list(enumerate(suite_names(), start=1))
@@ -57,11 +56,12 @@ def _pi_off_by_one(monkeypatch):
 
 def _trace_fails_at_3(monkeypatch):
     real = verify.check_projector_relations
-    monkeypatch.setattr(
-        verify,
-        "check_projector_relations",
-        lambda n: replace(real(n), trace_ok=False) if n == 3 else real(n),
-    )
+
+    def check(n):
+        r = real(n)
+        return ProjectorReport(n, r.adjoint_ok, r.idempotent_ok, False) if n == 3 else r
+
+    monkeypatch.setattr(verify, "check_projector_relations", check)
 
 
 def _gamma_is_identity(monkeypatch):

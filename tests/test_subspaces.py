@@ -19,8 +19,10 @@ from halfsphere.representations import (
     sample_real_point,
 )
 from halfsphere.scalars import EC_ONE, ExactComplex
+from halfsphere.sphere_ring import ZMonomial, reduced_monomials
 from halfsphere.subspaces import (
     IdealSpec,
+    TruncationBasis,
     _basis,
     classify_pair,
     even_ideal_span,
@@ -408,9 +410,12 @@ def test_truncation_basis_round_trip():
     assert tb.element(tb.vector(x)) == x
 
 
-@pytest.mark.parametrize("n,d", [(2, 5), (3, 4), (4, 3)])
+TRUNCATIONS = [(1, 4), (2, 6), (3, 5), (4, 6), (5, 6)]
+
+
+@pytest.mark.parametrize("n,d", [(2, 5), (3, 4), (4, 3)] + TRUNCATIONS)
 def test_shift_tables_match_generator_products(n, d):
-    tb = _basis(n, d)
+    tb = TruncationBasis(n, d)
     for i in range(1, n + 1):
         left, right = tb.shift(0, i), tb.shift(1, i)
         assert len(left) == len(right) == tb.column_count
@@ -424,6 +429,30 @@ def test_shift_tables_match_generator_products(n, d):
                 signs = [1] + [-1] * (len(table[c]) - 1)
                 entry = {col: ExactComplex(Fraction(s)) for col, s in zip(table[c], signs)}
                 assert entry == tb.vector(product)
+
+
+def _exponent_tuples(total, parts):
+    return [t for t in product(range(total + 1), repeat=parts) if sum(t) == total]
+
+
+@pytest.mark.parametrize("n,d", TRUNCATIONS)
+def test_columns_are_the_sorted_canonical_monomials(n, d):
+    # canonical monomials of weight 0 and 1 enumerated by brute force
+    expected = []
+    for grade in (0, 1):
+        for deg in range(grade, d + 1, 2):
+            for a in _exponent_tuples((deg + grade) // 2, n):
+                for b in _exponent_tuples((deg - grade) // 2, n):
+                    if not (a[0] and b[0]):
+                        expected.append((grade, ZMonomial(a, b)))
+    assert sorted(expected, key=lambda c: (c[1].a, c[1].b, c[0])) == sorted(
+        ((g, m) for g in (0, 1) for m in reduced_monomials(n, g, d)),
+        key=lambda c: (c[1].a, c[1].b, c[0]),
+    )
+    expected.sort(key=lambda c: (c[1].degree, c[0]) + c[1].sort_key()[1:], reverse=True)
+    tb = TruncationBasis(n, d)
+    assert tb.columns == expected
+    assert all(tb.vector(tb.element({c: EC_ONE})) == {c: EC_ONE} for c in range(len(expected)))
 
 
 def test_truncation_basis_degree_overflow():
