@@ -1,17 +1,20 @@
 """The half-liberated real sphere algebra via its faithful crossed-product model.
 
 Generators v_1..v_n are self-adjoint, satisfy sum v_i^2 = 1 and half-commute:
-v_i v_j v_k = v_k v_j v_i.  An element of the crossed product of the complex
-sphere ring by conjugation is a pair (f0, f1), standing for f0 x 1 + f1 x tau,
-with f0 of circle weight 0 and f1 of weight 1.  Multiplication twists by tau:
+v_i v_j v_k = v_k v_j v_i.  The model is the crossed product of the complex
+sphere ring by conjugation tau, which swaps z and z~.  Its elements are sums
+of terms c z^a z~^b tau^g, and one rule multiplies them:
 
-    (x0, x1) (y0, y1) = (x0 y0 + x1 tau(y1), x0 y1 + x1 tau(y0))
+    (m1 tau^g1)(m2 tau^g2) = m1 tau^g1(m2) tau^(g1+g2)
 
-and the embedding v_i -> (0, z_i) is faithful, so two noncommutative
-polynomials in the v_i are equal iff their images agree.  Canonical form of a
-word v_{i1} v_{i2} ... is the single monomial z_{i1} z_{i2}~ z_{i3} z_{i4}~ ...
-with conjugations alternating, placed in the even or odd component by the
-parity of the word length.
+CrossedTerms holds such sums before reduction, keyed (g, a, b).  A canonical
+element, CrossedElem, is the pair (f0, f1) = f0 x 1 + f1 x tau of reduced
+components, with f0 of circle weight 0 and f1 of weight 1.  The embedding
+v_i -> (0, z_i) is faithful, so two noncommutative polynomials in the v_i
+are equal iff their images agree.  Canonical form of a word v_{i1} v_{i2} ...
+is the single monomial z_{i1} z_{i2}~ z_{i3} z_{i4}~ ... with conjugations
+alternating, placed in the even or odd component by the parity of the word
+length.
 """
 
 from __future__ import annotations
@@ -74,14 +77,63 @@ def sum_of_squares(n: int) -> ZPoly:
     return ZPoly(n, terms)
 
 
-Pair = Tuple[ZPoly, ZPoly]
+CrossedKey = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
 
 
-def twisted_product(x: Pair, y: Pair) -> Pair:
-    """(x0, x1)(y0, y1) = (x0 y0 + x1 tau(y1), x0 y1 + x1 tau(y0)), unreduced."""
-    x0, x1 = x
-    y0, y1 = y
-    return x0 * y0 + x1 * y1.tau(), x0 * y1 + x1 * y0.tau()
+class CrossedTerms(SparseTerms):
+    """Terms c z^a z~^b tau^g of the crossed product, keyed (g, a, b), unreduced.
+
+    Reduction is a ring homomorphism onto the canonical forms, so products
+    may be taken here and reduced once, by crossed().
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _key(n: int, k) -> CrossedKey:
+        g, a, b = k
+        a, b = tuple(a), tuple(b)
+        if g not in (0, 1) or len(a) != n or len(b) != n or min(a + b) < 0:
+            raise DimensionError(f"not a crossed-product key in dimension {n}: {k}")
+        return g, a, b
+
+    @staticmethod
+    def _key_mul(k1: CrossedKey, k2: CrossedKey) -> CrossedKey:
+        g1, a1, b1 = k1
+        g2, a2, b2 = k2
+        if g1:
+            a2, b2 = b2, a2
+        return g1 ^ g2, tuple(map(operator.add, a1, a2)), tuple(map(operator.add, b1, b2))
+
+    @staticmethod
+    def _unit_key(n: int) -> CrossedKey:
+        return 0, (0,) * n, (0,) * n
+
+    _key_degree = staticmethod(lambda k: sum(k[1]) + sum(k[2]))
+
+    @classmethod
+    def generator(cls, n: int, i: int) -> "CrossedTerms":
+        """z_i tau, the image of v_i."""
+        if not 1 <= i <= n:
+            raise DimensionError(f"generator index {i} out of range 1..{n}")
+        a = [0] * n
+        a[i - 1] = 1
+        return cls._trusted(n, {(1, tuple(a), (0,) * n): EC_ONE})
+
+    @classmethod
+    def of(cls, x: "CrossedElem") -> "CrossedTerms":
+        terms = {(0, m.a, m.b): c for m, c in x.f0.terms.items()}
+        terms.update({(1, m.a, m.b): c for m, c in x.f1.terms.items()})
+        return cls._trusted(x.n, terms)
+
+    __mul__ = __rmul__ = SparseTerms.__mul__
+
+    def crossed(self) -> "CrossedElem":
+        """The canonical element: split the terms by grade and reduce."""
+        parts: Tuple[dict, dict] = ({}, {})
+        for (g, a, b), c in self.terms.items():
+            parts[g][ZMonomial(a, b)] = c
+        return CrossedElem(*(ZPoly._trusted(self.n, part) for part in parts))
 
 
 class CrossedElem:
@@ -137,7 +189,7 @@ class CrossedElem:
         if isinstance(other, CrossedElem):
             if self.n != other.n:
                 raise DimensionError("dimension mismatch in multiplication")
-            return CrossedElem(*twisted_product((self.f0, self.f1), (other.f0, other.f1)))
+            return (CrossedTerms.of(self) * CrossedTerms.of(other)).crossed()
         if isinstance(other, (ExactComplex, int, Fraction)):
             return CrossedElem(self.f0 * other, self.f1 * other)
         return NotImplemented
@@ -198,19 +250,11 @@ class CrossedElem:
 
 def pi(p: NCPoly) -> CrossedElem:
     """The faithful representation: the word v_{i1}...v_{ik} goes to the
-    monomial z_{i1} z_{i2}~ z_{i3} ... with alternating conjugation."""
-    return CrossedElem(*pi_components(p))
-
-
-def pi_components(p: NCPoly) -> Pair:
-    """The even and odd components of pi(p), before reduction.
-
-    Reduction is a ring homomorphism onto the canonical forms, so products
-    of these pairs (twisted_product) may be reduced once, at the end.
-    """
+    monomial z_{i1} z_{i2}~ z_{i3} ... with alternating conjugation, times
+    tau^k.  Letters are placed by the parity of their position, without the
+    product rule of CrossedTerms, so pi(p q) == pi(p) pi(q) tests that rule."""
     n = p.n
-    even: Dict[ZMonomial, ExactComplex] = {}
-    odd: Dict[ZMonomial, ExactComplex] = {}
+    terms: Dict[CrossedKey, ExactComplex] = {}
     for word, coeff in p.terms.items():
         a = [0] * n
         b = [0] * n
@@ -219,9 +263,8 @@ def pi_components(p: NCPoly) -> Pair:
                 a[letter - 1] += 1
             else:
                 b[letter - 1] += 1
-        target = even if len(word) % 2 == 0 else odd
-        add_term(target, ZMonomial(a, b), coeff)
-    return ZPoly(n, even), ZPoly(n, odd)
+        add_term(terms, (len(word) % 2, tuple(a), tuple(b)), coeff)
+    return CrossedTerms._trusted(n, terms).crossed()
 
 
 def nc_equal(p: NCPoly, q: NCPoly) -> bool:

@@ -12,9 +12,8 @@ vector: its pivot entry is a positive integer d and the gcd of all its real
 and imaginary parts is 1.  That form is unique for each RREF row, so dict
 equality of the stored rows decides span equality.  A row clears its pivot
 column p from a vector v as d*v - v[p]*row, with no division; the integer
-content of a new or updated row is divided out once.  rows(),
-row_signature() and pivots give the Gaussian-rational RREF, each row divided
-by its pivot entry.
+content of a new or updated row is divided out once.  rows() and pivots
+give the Gaussian-rational RREF, each row divided by its pivot entry.
 
 nullspace returns the kernel in that same form without a second elimination:
 it eliminates the functionals on reversed column order, so each of their
@@ -155,11 +154,6 @@ class Echelon:
     def rows(self) -> List[Vector]:
         rows = self.int_rows
         return [_rational(rows[p], p) for p in sorted(rows)]
-
-    def row_signature(self):
-        """Hashable canonical presentation of the row space."""
-        pivots = self.pivots
-        return tuple((p, tuple(sorted(pivots[p].items()))) for p in sorted(pivots))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Echelon):

@@ -13,8 +13,10 @@ Every literal is read as an exact Gaussian rational first (0.6 is 3/5), and
 float points convert afterwards; a zero denominator is a parse error.
 
 parse_model evaluates a v-expression straight into the crossed-product
-model: pi(parse_expr(text, n).as_nc()) without expanding sums under products
-and powers in the free algebra, where (v1 + v2 + v3)^k has 3^k words.
+model: pi(parse_expr(text, n).as_nc()), computed by the same evaluator as
+parse_expr over unreduced CrossedTerms, so sums under products and powers
+are never expanded in the free algebra, where (v1 + v2 + v3)^k has 3^k
+words, and a long word is a fixed-size exponent key, not a tuple of letters.
 
 Printers are the inverse direction: every canonical object is rendered in a
 unique, reparseable way (z-monomials appear only in output).
@@ -22,13 +24,12 @@ unique, reparseable way (z-monomials appear only in output).
 
 from __future__ import annotations
 
-import functools
 import re
 import sys
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Tuple
 
-from .algebra import CrossedElem, NCPoly, nc_lift, pi, pi_components, twisted_product
+from .algebra import CrossedElem, CrossedTerms, NCPoly, nc_lift
 from .errors import DimensionError, MixedAlphabetError, ParseError, PreconditionError
 from .projective import PExpr
 from .representations import Mat2, SpherePoint
@@ -281,10 +282,9 @@ def _eval_terms(terms, n: int, cls):
 
 def _eval_factor(node, n: int, cls):
     tag = node[0]
-    if tag == "v":
-        return NCPoly.generator(n, node[1])
-    if tag == "p":
-        return PExpr.generator(n, node[1], node[2])
+    if tag in ("v", "p"):
+        # the parser keeps one alphabet per expression, the one cls is built on
+        return cls.generator(n, *node[1:])
     if tag == "paren":
         return _eval_terms(node[1], n, cls)
     if tag == "pow":
@@ -300,79 +300,12 @@ def _eval_factor(node, n: int, cls):
 
 
 def parse_model(text: str, n: int) -> CrossedElem:
-    """pi(parse_expr(text, n).as_nc()), evaluated in the model.
-
-    Terms whose factors are all single terms (a generator, a parenthesised
-    single term, a power of either) multiply as one NCPoly word each and map
-    through pi, as in parse_expr.  A factor holding a sum of two or more
-    terms is evaluated as an unreduced crossed-product pair and multiplied
-    there, powers by squaring, so its image is never expanded word by word;
-    the pairs are reduced once, at the end.
-    """
+    """pi(parse_expr(text, n).as_nc()), evaluated in the model and reduced once."""
     parser = _Parser(text, n)
     terms = parser.parse()
     if parser.kind == "p":
         raise ParseError(_V_EXPECTED, 0)
-    words, sums = _split_terms(terms)
-    x = pi(_eval_terms(words, n, NCPoly))
-    return x + CrossedElem(*_image_terms(sums, n)) if sums else x
-
-
-def _is_word(node) -> bool:
-    """Whether a v-factor evaluates to a single term of the free algebra."""
-    if node[0] == "paren":
-        return len(node[1]) == 1 and all(map(_is_word, node[1][0][1]))
-    if node[0] == "pow":
-        return _is_word(node[1])
-    return True
-
-
-def _split_terms(terms):
-    """(terms of single-term factors only, terms with a sum among their factors)."""
-    words, sums = [], []
-    for t in terms:
-        (words if all(map(_is_word, t[1])) else sums).append(t)
-    return words, sums
-
-
-def _image_terms(terms, n: int):
-    words, sums = _split_terms(terms)
-    f0, f1 = pi_components(_eval_terms(words, n, NCPoly))
-    for coeff, factors in sums:
-        g0, g1 = _image_product(coeff, factors, n)
-        f0, f1 = f0 + g0, f1 + g1
-    return f0, f1
-
-
-def _image_product(coeff: ExactComplex, factors, n: int):
-    """coeff * f_1 * f_2 * ...; each run of single-term factors enters as one word."""
-    chunks = []
-    word = NCPoly.constant(n, coeff)
-    for f in factors:
-        if _is_word(f):
-            word = word * _eval_factor(f, n, NCPoly)
-        else:
-            chunks += [pi_components(word), _image_factor(f, n)]
-            word = NCPoly.one(n)
-    chunks.append(pi_components(word))
-    return functools.reduce(twisted_product, chunks)
-
-
-def _image_factor(node, n: int):
-    """The unreduced image of a sum in parentheses, or of a power of one."""
-    if node[0] == "paren":
-        return _image_terms(node[1], n)
-    k = node[2]
-    if k == 0:
-        return ZPoly.one(n), ZPoly.zero(n)
-    base, result = _image_factor(node[1], n), None
-    while True:
-        if k & 1:
-            result = base if result is None else twisted_product(result, base)
-        k >>= 1
-        if not k:
-            return result
-        base = twisted_product(base, base)
+    return _eval_terms(terms, n, CrossedTerms).crossed()
 
 
 def parse_point(

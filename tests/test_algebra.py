@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from halfsphere.algebra import (
     CrossedElem,
+    CrossedTerms,
     NCPoly,
     nc_equal,
     nc_lift,
@@ -103,6 +104,40 @@ def test_pi_is_multiplicative_and_additive(p, q):
 @given(ncpoly_strategy(3))
 def test_pi_respects_star(p):
     assert pi(p.star()) == pi(p).star()
+
+
+def _random_ncpoly(rng, n, max_degree=5):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        word = tuple(rng.randint(1, n) for _ in range(rng.randint(0, max_degree)))
+        terms[word] = ExactComplex(
+            Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+            Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+        )
+    return NCPoly(n, terms)
+
+
+def test_product_matches_the_paper_formula():
+    # (x0 + x1 tau)(y0 + y1 tau) = (x0 y0 + x1 tau(y1)) + (x0 y1 + x1 tau(y0)) tau
+    rng = Random(13)
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        x, y = pi(_random_ncpoly(rng, n)), pi(_random_ncpoly(rng, n))
+        want = CrossedElem(
+            x.f0 * y.f0 + x.f1 * y.f1.tau(), x.f0 * y.f1 + x.f1 * y.f0.tau()
+        )
+        assert x * y == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_crossed_terms_unit_is_a_two_sided_identity(n):
+    one = CrossedTerms.one(n)
+    assert one.terms == {(0, (0,) * n, (0,) * n): EC_ONE}
+    rng = Random(n)
+    for _ in range(10):
+        t = CrossedTerms.of(pi(_random_ncpoly(rng, n)))
+        t = t * CrossedTerms.generator(n, rng.randint(1, n))
+        assert one * t == t == t * one
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

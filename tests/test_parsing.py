@@ -398,9 +398,26 @@ def test_model_evaluation_matches_free_algebra(data):
     assert f"odd = {format_zpoly(want.f1)}" in out.splitlines(), text
 
 
-# every branch of the squaring loop, which the property rarely reaches
+# odd powers of sums above 4, which the property rarely reaches
 @pytest.mark.parametrize("k", range(9))
 def test_model_powers_of_sums(k):
     for n, base in [(2, "v1 + v2"), (3, "(1/2)*v1 - i*v2*v3 + 2")]:
         text = f"v1*({base})^{k}*(3/4+1/2i)"
         assert parse_model(text, n) == pi(parse_expr(text, n).as_nc()), text
+
+
+def _best_time(fn, repeat=3):
+    best = float("inf")
+    for _ in range(repeat):
+        start = perf_counter()
+        result = fn()
+        best = min(best, perf_counter() - start)
+    return best, result
+
+
+def test_word_powers_take_linear_time():
+    # a power of a word multiplies fixed-size exponent keys, not ever longer words
+    short, _ = _best_time(lambda: parse_model("(v2*v3)^4000", 3))
+    long, x = _best_time(lambda: parse_model("(v2*v3)^16000", 3))
+    assert x == pi(NCPoly.from_word(3, (2, 3) * 16000))
+    assert long / short < 8, (short, long)
