@@ -45,8 +45,8 @@ from .representations import (
     sample_torus_real_point,
     theta,
 )
-from .scalars import DEFAULT_EPSILON, EC_I, EC_ONE, EC_ZERO, ExactComplex, Rational
-from .sphere_ring import ZMonomial, ZPoly, sphere_relation
+from .scalars import DEFAULT_EPSILON, EC_I, EC_ONE, EC_ZERO, ExactComplex
+from .sphere_ring import ZPoly, sphere_relation
 from .subspaces import (
     IdealSpec,
     PairEF,
@@ -84,11 +84,9 @@ __all__ = [
     "ProjectorReport",
     "REAL",
     "REGULAR",
-    "Rational",
     "SpanBasis",
     "SpherePoint",
     "TORUS_REAL",
-    "ZMonomial",
     "ZPoly",
     "character",
     "check_projector_relations",

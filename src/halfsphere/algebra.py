@@ -7,25 +7,26 @@ of terms c z^a z~^b tau^g, and one rule multiplies them:
 
     (m1 tau^g1)(m2 tau^g2) = m1 tau^g1(m2) tau^(g1+g2)
 
-CrossedTerms holds such sums before reduction, keyed (g, a, b).  A canonical
-element, CrossedElem, is the pair (f0, f1) = f0 x 1 + f1 x tau of reduced
-components, with f0 of circle weight 0 and f1 of weight 1.  The embedding
-v_i -> (0, z_i) is faithful, so two noncommutative polynomials in the v_i
-are equal iff their images agree.  Canonical form of a word v_{i1} v_{i2} ...
-is the single monomial z_{i1} z_{i2}~ z_{i3} z_{i4}~ ... with conjugations
-alternating, placed in the even or odd component by the parity of the word
-length.
+CrossedTerms holds such sums before reduction, keyed (g, m) with m = (a, b)
+the ZPoly monomial z^a z~^b.  A canonical element, CrossedElem, is the pair
+(f0, f1) = f0 x 1 + f1 x tau of reduced components, with f0 of circle
+weight 0 and f1 of weight 1.  The embedding v_i -> (0, z_i) is faithful,
+so two noncommutative polynomials in the v_i are equal iff their images
+agree.  Canonical form of a word v_{i1} v_{i2} ... is the single monomial
+z_{i1} z_{i2}~ z_{i3} z_{i4}~ ... with conjugations alternating, placed in
+the even or odd component by the parity of the word length.
 """
 
 from __future__ import annotations
 
 import operator
+from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Tuple
 
 from .errors import DimensionError
-from .scalars import EC_ONE, ExactComplex, Fraction, SparseTerms, add_term
-from .sphere_ring import ZMonomial, ZPoly
+from .scalars import EC_ONE, ExactComplex, SparseTerms, add_term
+from .sphere_ring import Monomial, ZPoly, monomial_degree
 
 Word = Tuple[int, ...]
 
@@ -69,47 +70,43 @@ class NCPoly(SparseTerms):
 @lru_cache(maxsize=None)
 def sum_of_squares(n: int) -> ZPoly:
     """s = z_1^2 + ... + z_n^2, the weight-two twist appearing in gamma."""
-    terms: Dict[ZMonomial, ExactComplex] = {}
-    for i in range(n):
-        a = [0] * n
-        a[i] = 2
-        terms[ZMonomial(a, (0,) * n)] = EC_ONE
-    return ZPoly(n, terms)
+    zero = (0,) * n
+    return ZPoly(n, {(zero[:i] + (2,) + zero[i + 1:], zero): EC_ONE for i in range(n)})
 
 
-CrossedKey = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
+CrossedKey = Tuple[int, Monomial]
 
 
 class CrossedTerms(SparseTerms):
-    """Terms c z^a z~^b tau^g of the crossed product, keyed (g, a, b), unreduced.
+    """Terms c z^a z~^b tau^g of the crossed product, keyed (g, (a, b)), unreduced.
 
-    Reduction is a ring homomorphism onto the canonical forms, so products
-    may be taken here and reduced once, by crossed().
+    A key is a grade plus a ZPoly key, so of() and crossed() move monomials
+    between the two without rebuilding them.  Reduction is a ring
+    homomorphism onto the canonical forms, so products may be taken here and
+    reduced once, by crossed().
     """
 
     __slots__ = ()
 
     @staticmethod
     def _key(n: int, k) -> CrossedKey:
-        g, a, b = k
-        a, b = tuple(a), tuple(b)
-        if g not in (0, 1) or len(a) != n or len(b) != n or min(a + b) < 0:
-            raise DimensionError(f"not a crossed-product key in dimension {n}: {k}")
-        return g, a, b
+        g, m = k
+        if g not in (0, 1):
+            raise DimensionError(f"crossed-product grade must be 0 or 1, got {g}")
+        return g, ZPoly._key(n, m)
 
     @staticmethod
     def _key_mul(k1: CrossedKey, k2: CrossedKey) -> CrossedKey:
-        g1, a1, b1 = k1
-        g2, a2, b2 = k2
+        (g1, (a1, b1)), (g2, (a2, b2)) = k1, k2
         if g1:
             a2, b2 = b2, a2
-        return g1 ^ g2, tuple(map(operator.add, a1, a2)), tuple(map(operator.add, b1, b2))
+        return g1 ^ g2, (tuple(map(operator.add, a1, a2)), tuple(map(operator.add, b1, b2)))
 
     @staticmethod
     def _unit_key(n: int) -> CrossedKey:
-        return 0, (0,) * n, (0,) * n
+        return 0, ZPoly._unit_key(n)
 
-    _key_degree = staticmethod(lambda k: sum(k[1]) + sum(k[2]))
+    _key_degree = staticmethod(lambda k: monomial_degree(k[1]))
 
     @classmethod
     def generator(cls, n: int, i: int) -> "CrossedTerms":
@@ -118,12 +115,12 @@ class CrossedTerms(SparseTerms):
             raise DimensionError(f"generator index {i} out of range 1..{n}")
         a = [0] * n
         a[i - 1] = 1
-        return cls._trusted(n, {(1, tuple(a), (0,) * n): EC_ONE})
+        return cls._trusted(n, {(1, (tuple(a), (0,) * n)): EC_ONE})
 
     @classmethod
     def of(cls, x: "CrossedElem") -> "CrossedTerms":
-        terms = {(0, m.a, m.b): c for m, c in x.f0.terms.items()}
-        terms.update({(1, m.a, m.b): c for m, c in x.f1.terms.items()})
+        terms = {(0, m): c for m, c in x.f0.terms.items()}
+        terms.update({(1, m): c for m, c in x.f1.terms.items()})
         return cls._trusted(x.n, terms)
 
     __mul__ = __rmul__ = SparseTerms.__mul__
@@ -131,8 +128,8 @@ class CrossedTerms(SparseTerms):
     def crossed(self) -> "CrossedElem":
         """The canonical element: split the terms by grade and reduce."""
         parts: Tuple[dict, dict] = ({}, {})
-        for (g, a, b), c in self.terms.items():
-            parts[g][ZMonomial(a, b)] = c
+        for (g, m), c in self.terms.items():
+            parts[g][m] = c
         return CrossedElem(*(ZPoly._trusted(self.n, part) for part in parts))
 
 
@@ -263,7 +260,7 @@ def pi(p: NCPoly) -> CrossedElem:
                 a[letter - 1] += 1
             else:
                 b[letter - 1] += 1
-        add_term(terms, (len(word) % 2, tuple(a), tuple(b)), coeff)
+        add_term(terms, (len(word) % 2, (tuple(a), tuple(b))), coeff)
     return CrossedTerms._trusted(n, terms).crossed()
 
 
@@ -274,10 +271,10 @@ def nc_equal(p: NCPoly, q: NCPoly) -> bool:
     return pi(p) == pi(q)
 
 
-def _even_word(m: ZMonomial) -> Word:
-    """Interleave the sorted z letters with the sorted z~ letters."""
-    zs = [i + 1 for i, e in enumerate(m.a) for _ in range(e)]
-    ws = [i + 1 for i, e in enumerate(m.b) for _ in range(e)]
+def _even_word(a: Tuple[int, ...], b: Tuple[int, ...]) -> Word:
+    """Interleave the sorted z letters of z^a with the sorted z~ letters of z~^b."""
+    zs = [i + 1 for i, e in enumerate(a) for _ in range(e)]
+    ws = [i + 1 for i, e in enumerate(b) for _ in range(e)]
     word = []
     for x, y in zip(zs, ws):
         word.append(x)
@@ -294,10 +291,9 @@ def nc_lift(x: CrossedElem) -> NCPoly:
     canonical monomials produce distinct words, so no coefficients collide.
     """
     terms: Dict[Word, ExactComplex] = {}
-    for m, c in x.f0.terms.items():
-        terms[_even_word(m)] = c
-    for m, c in x.f1.terms.items():
-        k = next(i for i in range(m.n) if m.a[i] > m.b[i])
-        rest = m.lowered_a(k)
-        terms[_even_word(rest) + (k + 1,)] = c
+    for (a, b), c in x.f0.terms.items():
+        terms[_even_word(a, b)] = c
+    for (a, b), c in x.f1.terms.items():
+        k = next(i for i in range(x.n) if a[i] > b[i])
+        terms[_even_word(a[:k] + (a[k] - 1,) + a[k + 1:], b) + (k + 1,)] = c
     return NCPoly(x.n, terms)

@@ -417,13 +417,13 @@ def _format_run(symbol: str, count: int) -> str:
 
 def format_zpoly(f: ZPoly) -> str:
     rendered = []
-    for m, c in f.sorted_terms():
+    for (a, b), c in f.sorted_terms():
         factors = []
         for i in range(f.n):
-            if m.a[i]:
-                factors.append(_format_run(f"z{i + 1}", m.a[i]))
-            if m.b[i]:
-                factors.append(_format_run(f"z{i + 1}~", m.b[i]))
+            if a[i]:
+                factors.append(_format_run(f"z{i + 1}", a[i]))
+            if b[i]:
+                factors.append(_format_run(f"z{i + 1}~", b[i]))
         rendered.append(("*".join(factors), c))
     return _join_terms(rendered)
 

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, NamedTuple, Tuple
 from .algebra import CrossedElem, NCPoly, Word
 from .errors import DimensionError, PreconditionError
 from .scalars import EC_ONE, ExactComplex, SparseTerms, add_term
-from .sphere_ring import ZMonomial, ZPoly
+from .sphere_ring import Monomial, ZPoly
 
 Pair = Tuple[int, int]
 PairSeq = Tuple[Pair, ...]
@@ -47,30 +47,24 @@ class PExpr(SparseTerms):
 
     def star(self) -> "PExpr":
         """The involution p_ij* = p_ji with coefficients conjugated."""
-        out: Dict[PairSeq, ExactComplex] = {}
-        for pairs, c in self.terms.items():
-            key = tuple(sorted((j, i) for i, j in pairs))
-            out[key] = c.conj()
-        return PExpr(self.n, out)
+        return PExpr._trusted(self.n, {k: c.conj() for k, c in self.tau_p().terms.items()})
 
     def tau_p(self) -> "PExpr":
         """The conjugation automorphism p_ij -> p_ji, coefficients untouched."""
-        out: Dict[PairSeq, ExactComplex] = {}
-        for pairs, c in self.terms.items():
-            key = tuple(sorted((j, i) for i, j in pairs))
-            out[key] = c
-        return PExpr(self.n, out)
+        # the swap is a bijection on sorted pair sequences, so no terms merge
+        terms = {tuple(sorted((j, i) for i, j in pairs)): c for pairs, c in self.terms.items()}
+        return PExpr._trusted(self.n, terms)
 
     def to_model(self) -> ZPoly:
         """Canonical image in the sphere ring under p_ij -> z_i z_j~."""
-        terms: Dict[ZMonomial, ExactComplex] = {}
+        terms: Dict[Monomial, ExactComplex] = {}
         for pairs, c in self.terms.items():
             a = [0] * self.n
             b = [0] * self.n
             for i, j in pairs:
                 a[i - 1] += 1
                 b[j - 1] += 1
-            add_term(terms, ZMonomial(a, b), c)
+            add_term(terms, (tuple(a), tuple(b)), c)
         return ZPoly(self.n, terms).reduce()
 
     def phi(self) -> NCPoly:

@@ -26,8 +26,6 @@ from math import isqrt
 
 from .errors import DimensionError, PreconditionError
 
-Rational = Fraction
-
 DEFAULT_EPSILON = 1e-9
 
 
@@ -100,7 +98,7 @@ class ExactComplex(Frozen):
     def conj(self) -> "ExactComplex":
         return _mk(self.re, -self.im)
 
-    def modulus_squared(self) -> Rational:
+    def modulus_squared(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
     def is_real(self) -> bool:

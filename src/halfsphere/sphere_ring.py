@@ -1,7 +1,9 @@
 """Polynomial functions on the complex unit sphere S^{n-1}_C.
 
-Monomials carry separate exponent vectors for the coordinates z_i and their
-conjugates (written z_i~ in output).  The circle weight of a monomial is
+A monomial z^a z~^b is the pair (a, b) of exponent tuples for the
+coordinates z_i and their conjugates (written z_i~ in output); it is the key
+of a ZPoly term and, with a grade, of a crossed-product term
+(algebra.CrossedTerms).  The circle weight of a monomial is
 (number of z letters) - (number of z~ letters); products add weights, and
 both the *-operation and the conjugation automorphism tau negate them.
 
@@ -27,6 +29,7 @@ point's scalar ops (scalars.ops_for).
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -34,80 +37,17 @@ from .errors import DimensionError
 from .scalars import EC_ONE, ExactComplex, SparseTerms, add_term, ops_for
 
 
-class ZMonomial:
-    """z^a z~^b with a, b nonnegative integer exponent tuples of length n."""
+Monomial = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (a, b) for z^a z~^b
 
-    __slots__ = ("a", "b", "_hash")
 
-    def __init__(self, a: Sequence[int], b: Sequence[int]):
-        self.a = tuple(a)
-        self.b = tuple(b)
-        if len(self.a) != len(self.b):
-            raise DimensionError("exponent vectors must have equal length")
-        self._hash = hash((self.a, self.b))
+def monomial_degree(m: Monomial) -> int:
+    return sum(m[0]) + sum(m[1])
 
-    @property
-    def n(self) -> int:
-        return len(self.a)
 
-    @property
-    def degree(self) -> int:
-        return sum(self.a) + sum(self.b)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.a) - sum(self.b)
-
-    def sort_key(self):
-        # deglex with z_1 > z_1~ > z_2 > z_2~ > ...
-        inter = []
-        for x, y in zip(self.a, self.b):
-            inter.append(x)
-            inter.append(y)
-        return (self.degree, tuple(inter))
-
-    def __mul__(self, other: "ZMonomial") -> "ZMonomial":
-        if len(self.a) != len(other.a):
-            raise DimensionError("cannot multiply monomials of different dimension")
-        return ZMonomial(
-            tuple(x + y for x, y in zip(self.a, other.a)),
-            tuple(x + y for x, y in zip(self.b, other.b)),
-        )
-
-    def swapped(self) -> "ZMonomial":
-        """Exchange every z_i with z_i~ (the effect of tau on monomials)."""
-        return ZMonomial(self.b, self.a)
-
-    def strip_leading_pair(self) -> "ZMonomial":
-        a = list(self.a)
-        b = list(self.b)
-        a[0] -= 1
-        b[0] -= 1
-        return ZMonomial(a, b)
-
-    def raised_pair(self, i: int) -> "ZMonomial":
-        """Multiply by z_{i+1} z_{i+1}~ (0-based index)."""
-        a = list(self.a)
-        b = list(self.b)
-        a[i] += 1
-        b[i] += 1
-        return ZMonomial(a, b)
-
-    def lowered_a(self, i: int) -> "ZMonomial":
-        a = list(self.a)
-        a[i] -= 1
-        return ZMonomial(a, self.b)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ZMonomial) and self.a == other.a and self.b == other.b
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"ZMonomial({self.a}, {self.b})"
+def monomial_sort_key(m: Monomial):
+    """Deglex with z_1 > z_1~ > z_2 > z_2~ > ..."""
+    a, b = m
+    return (sum(a) + sum(b), tuple(e for pair in zip(a, b) for e in pair))
 
 
 class PointTable:
@@ -132,12 +72,12 @@ class PointTable:
         )
         self._values: dict = {}
 
-    def value(self, m: ZMonomial):
-        """z^a z~^b at this point."""
+    def value(self, m: Monomial):
+        """z^a z~^b at this point, for m = (a, b)."""
         v = self._values.get(m)
         if v is None:
             one = v = self.ops.one
-            for powers, exps in zip(self._powers, (m.a, m.b)):
+            for powers, exps in zip(self._powers, m):
                 for i, e in enumerate(exps):
                     if e:
                         pw = powers[i]
@@ -156,16 +96,16 @@ def point_table(coords: tuple) -> PointTable:
     return PointTable(coords)
 
 
-def _unit_monomial(n: int) -> ZMonomial:
-    return ZMonomial((0,) * n, (0,) * n)
-
-
 class ZPoly(SparseTerms):
-    """A polynomial in z_1..z_n, z_1~..z_n~ with Gaussian-rational coefficients."""
+    """A polynomial in z_1..z_n, z_1~..z_n~ with Gaussian-rational coefficients.
+
+    Keys are monomials (a, b): z^a z~^b with a and b exponent tuples of
+    length n.
+    """
 
     __slots__ = ("_reduced",)
 
-    def __init__(self, n: int, terms: Dict[ZMonomial, ExactComplex] | None = None):
+    def __init__(self, n: int, terms: Dict[Monomial, ExactComplex] | None = None):
         super().__init__(n, terms)
         self._reduced = not self.terms
 
@@ -176,15 +116,23 @@ class ZPoly(SparseTerms):
         return out
 
     @staticmethod
-    def _key(n: int, m: ZMonomial) -> ZMonomial:
-        if m.n != n:
-            raise DimensionError("monomial dimension does not match n")
-        return m
+    def _key(n: int, m) -> Monomial:
+        a, b = m
+        a, b = tuple(a), tuple(b)
+        if len(a) != n or len(b) != n or min(a + b) < 0:
+            raise DimensionError(f"not a monomial in dimension {n}: {m}")
+        return a, b
 
-    _key_mul = staticmethod(ZMonomial.__mul__)
-    _unit_key = staticmethod(_unit_monomial)
-    _key_degree = staticmethod(lambda m: m.degree)
-    _sort_key = staticmethod(ZMonomial.sort_key)
+    @staticmethod
+    def _key_mul(m1: Monomial, m2: Monomial) -> Monomial:
+        return tuple(map(operator.add, m1[0], m2[0])), tuple(map(operator.add, m1[1], m2[1]))
+
+    @staticmethod
+    def _unit_key(n: int) -> Monomial:
+        return (0,) * n, (0,) * n
+
+    _key_degree = staticmethod(monomial_degree)
+    _sort_key = staticmethod(monomial_sort_key)
 
     # ------------------------------------------------------------------
     # constructors
@@ -196,7 +144,7 @@ class ZPoly(SparseTerms):
             raise DimensionError(f"generator index {i} out of range 1..{n}")
         a = [0] * n
         a[i - 1] = 1
-        return cls(n, {ZMonomial(a, (0,) * n): EC_ONE})
+        return cls(n, {(tuple(a), (0,) * n): EC_ONE})
 
     @classmethod
     def conj_generator(cls, n: int, i: int) -> "ZPoly":
@@ -205,7 +153,7 @@ class ZPoly(SparseTerms):
             raise DimensionError(f"generator index {i} out of range 1..{n}")
         b = [0] * n
         b[i - 1] = 1
-        return cls(n, {ZMonomial((0,) * n, b): EC_ONE})
+        return cls(n, {((0,) * n, tuple(b)): EC_ONE})
 
     # ring operations are lazy: no reduction here
     __mul__ = __rmul__ = SparseTerms.__mul__
@@ -215,16 +163,16 @@ class ZPoly(SparseTerms):
 
     def star(self) -> "ZPoly":
         """Pointwise complex conjugation: coefficients conjugated, z <-> z~."""
-        terms = {m.swapped(): c.conj() for m, c in self.terms.items()}
+        terms = {(b, a): c.conj() for (a, b), c in self.terms.items()}
         return ZPoly._trusted(self.n, terms, self._reduced)  # redexes are symmetric in a, b
 
     def tau(self) -> "ZPoly":
         """The conjugation automorphism z_i -> z_i~ with coefficients untouched."""
-        terms = {m.swapped(): c for m, c in self.terms.items()}
+        terms = {(b, a): c for (a, b), c in self.terms.items()}
         return ZPoly._trusted(self.n, terms, self._reduced)
 
     def is_homogeneous_of_weight(self, w: int) -> bool:
-        return all(m.weight == w for m in self.terms)
+        return all(sum(a) - sum(b) == w for a, b in self.terms)
 
     # ------------------------------------------------------------------
     # canonical form
@@ -241,17 +189,18 @@ class ZPoly(SparseTerms):
         """
         if self._reduced:
             return self
-        levels: Dict[int, Dict[ZMonomial, ExactComplex]] = {}
+        levels: Dict[int, Dict[Monomial, ExactComplex]] = {}
         for m, c in self.terms.items():
-            levels.setdefault(min(m.a[0], m.b[0]), {})[m] = c
+            levels.setdefault(min(m[0][0], m[1][0]), {})[m] = c
         for depth in range(max(levels), 0, -1):
             lower = levels.setdefault(depth - 1, {})
-            for m, c in levels.pop(depth, {}).items():
-                base = m.strip_leading_pair()
-                add_term(lower, base, c)
+            for (a, b), c in levels.pop(depth, {}).items():
+                a, b = (a[0] - 1,) + a[1:], (b[0] - 1,) + b[1:]
+                add_term(lower, (a, b), c)
                 neg = -c
-                for i in range(1, self.n):
-                    add_term(lower, base.raised_pair(i), neg)
+                for i in range(1, self.n):  # times z_{i+1} z_{i+1}~
+                    raised = (a[:i] + (a[i] + 1,) + a[i + 1:], b[:i] + (b[i] + 1,) + b[i + 1:])
+                    add_term(lower, raised, neg)
         return ZPoly._trusted(self.n, levels[0], True)
 
     # ------------------------------------------------------------------
@@ -276,14 +225,11 @@ class ZPoly(SparseTerms):
 
 def sphere_relation(n: int) -> ZPoly:
     """sum_i z_i z_i~ - 1, the defining relation of the sphere."""
-    terms: Dict[ZMonomial, ExactComplex] = {}
+    terms: Dict[Monomial, ExactComplex] = {}
     for i in range(n):
-        a = [0] * n
-        b = [0] * n
-        a[i] = 1
-        b[i] = 1
-        terms[ZMonomial(a, b)] = EC_ONE
-    add_term(terms, _unit_monomial(n), -EC_ONE)
+        pair = (0,) * i + (1,) + (0,) * (n - i - 1)
+        terms[(pair, pair)] = EC_ONE
+    add_term(terms, ZPoly._unit_key(n), -EC_ONE)
     return ZPoly(n, terms)
 
 
@@ -299,7 +245,7 @@ def compositions(total: int, parts: int) -> Tuple[tuple, ...]:
     )
 
 
-def reduced_monomials(n: int, weight: int, max_degree: int) -> Iterator[ZMonomial]:
+def reduced_monomials(n: int, weight: int, max_degree: int) -> Iterator[Monomial]:
     """All canonical monomials (a_1 = 0 or b_1 = 0) of the given weight and
     degree <= max_degree."""
     start = abs(weight)
@@ -309,4 +255,4 @@ def reduced_monomials(n: int, weight: int, max_degree: int) -> Iterator[ZMonomia
         zero_b1 = [(0,) + rest for rest in compositions(sb, n - 1)]
         for a in compositions(sa, n):
             for b in zero_b1 if a[0] else compositions(sb, n):
-                yield ZMonomial(a, b)
+                yield a, b

@@ -28,7 +28,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import CrossedElem, NCPoly, pi, nc_lift
+from .algebra import CrossedElem, CrossedKey, CrossedTerms, NCPoly, pi, nc_lift
 from .errors import DimensionError, PreconditionError
 from .linalg import Echelon, Vector, ZVector, echelon_from, integral, nullspace
 from .representations import (
@@ -39,8 +39,8 @@ from .representations import (
     phi_rep,
     theta,
 )
-from .scalars import ExactComplex, Frozen
-from .sphere_ring import ZMonomial, point_table, reduced_monomials
+from .scalars import Frozen
+from .sphere_ring import monomial_degree, monomial_sort_key, point_table, reduced_monomials
 
 # column -> the target columns of its product with one generator, the first
 # with sign +1 and the rest with sign -1; None for columns of degree d
@@ -50,10 +50,9 @@ ShiftTable = List[Optional[Tuple[int, ...]]]
 class TruncationBasis:
     """Canonical monomial coordinates for the degree <= d truncation.
 
-    Columns are (grade, monomial) pairs ordered by descending degree, so any
-    element of degree <= D reduces against pivots of degree <= D only.
-    index maps (grade, a, b), with a and b the monomial's exponent tuples,
-    to the column.
+    Columns are CrossedTerms keys (grade, (a, b)) of canonical monomials,
+    ordered by descending degree, so any element of degree <= D reduces
+    against pivots of degree <= D only.  index maps each key to its column.
     """
 
     __slots__ = ("n", "d", "columns", "index", "_shifts")
@@ -63,9 +62,9 @@ class TruncationBasis:
         self.d = d
         # grade is the parity of the degree, so the monomial's key orders columns
         cols = [(grade, m) for grade in (0, 1) for m in reduced_monomials(n, grade, d)]
-        cols.sort(key=lambda c: c[1].sort_key(), reverse=True)
-        self.columns: List[Tuple[int, ZMonomial]] = cols
-        self.index = {(grade, m.a, m.b): i for i, (grade, m) in enumerate(cols)}
+        cols.sort(key=lambda c: monomial_sort_key(c[1]), reverse=True)
+        self.columns: List[CrossedKey] = cols
+        self.index = {key: i for i, key in enumerate(cols)}
         self._shifts: Dict[Tuple[int, int], ShiftTable] = {}
 
     @property
@@ -76,25 +75,19 @@ class TruncationBasis:
         if x.n != self.n:
             raise DimensionError("element dimension does not match the truncation")
         vec: Vector = {}
-        for grade, f in ((0, x.f0), (1, x.f1)):
-            for m, c in f.terms.items():
-                idx = self.index.get((grade, m.a, m.b))
-                if idx is None:
-                    raise PreconditionError(
-                        f"degree overflow: monomial of degree {m.degree} exceeds bound {self.d}"
-                    )
-                vec[idx] = c
+        for key, c in CrossedTerms.of(x).terms.items():
+            idx = self.index.get(key)
+            if idx is None:
+                raise PreconditionError(
+                    f"degree overflow: monomial of degree {monomial_degree(key[1])} "
+                    f"exceeds bound {self.d}"
+                )
+            vec[idx] = c
         return vec
 
     def element(self, vec: Vector) -> CrossedElem:
-        from .sphere_ring import ZPoly
-
-        even: Dict[ZMonomial, ExactComplex] = {}
-        odd: Dict[ZMonomial, ExactComplex] = {}
-        for idx, c in vec.items():
-            grade, m = self.columns[idx]
-            (even if grade == 0 else odd)[m] = c
-        return CrossedElem(ZPoly(self.n, even), ZPoly(self.n, odd))
+        columns = self.columns
+        return CrossedTerms._trusted(self.n, {columns[i]: c for i, c in vec.items()}).crossed()
 
     def shift(self, side: int, i: int) -> ShiftTable:
         """Multiplication by v_i on the left (side 0) or the right (side 1).
@@ -119,10 +112,10 @@ class TruncationBasis:
             raise DimensionError(f"generator index {i} out of range 1..{n}")
         k = i - 1
         # columns run by descending degree: the first top have degree d
-        top = bisect_left(columns, 1 - self.d, key=lambda c: -c[1].degree)
+        top = bisect_left(columns, 1 - self.d, key=lambda c: -monomial_degree(c[1]))
         table: ShiftTable = [None] * top
-        for grade, m in columns[top:]:
-            p, q = (m.a, m.b) if side == 1 and grade == 0 else (m.b, m.a)
+        for grade, (a, b) in columns[top:]:
+            p, q = (a, b) if side == 1 and grade == 0 else (b, a)
             if k == 0 and q[0]:
                 q = (q[0] - 1,) + q[1:]
                 pairs = [(p, q)] + [
@@ -133,7 +126,7 @@ class TruncationBasis:
                 pairs = [(p[:k] + (p[k] + 1,) + p[k + 1:], q)]
             if side == 1 and grade == 1:  # p is the b tuple
                 pairs = [(y, x) for x, y in pairs]
-            table.append(tuple([index[(1 - grade, x, y)] for x, y in pairs]))
+            table.append(tuple([index[(1 - grade, pair)] for pair in pairs]))
         return table
 
 

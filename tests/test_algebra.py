@@ -16,8 +16,9 @@ from halfsphere.algebra import (
     pi,
     sum_of_squares,
 )
+from halfsphere.errors import DimensionError
 from halfsphere.scalars import EC_ONE, ExactComplex
-from halfsphere.sphere_ring import ZMonomial, ZPoly
+from halfsphere.sphere_ring import ZPoly
 
 
 def v(n, i):
@@ -41,13 +42,13 @@ def ncpoly_strategy(n, max_len=4):
 def test_pi_word_alternates_conjugation():
     x = pi(NCPoly.from_word(3, (1, 2)))
     assert x.f1.is_zero()
-    assert x.f0 == ZPoly(3, {ZMonomial((1, 0, 0), (0, 1, 0)): EC_ONE})
+    assert x.f0 == ZPoly(3, {((1, 0, 0), (0, 1, 0)): EC_ONE})
 
 
 def test_pi_of_word_star():
     n = 3
     x = pi(v(n, 1) * v(n, 2)).star()
-    assert x.f0 == ZPoly(n, {ZMonomial((0, 1, 0), (1, 0, 0)): EC_ONE})
+    assert x.f0 == ZPoly(n, {((0, 1, 0), (1, 0, 0)): EC_ONE})
 
 
 def test_pi_square_reduces():
@@ -132,12 +133,26 @@ def test_product_matches_the_paper_formula():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_crossed_terms_unit_is_a_two_sided_identity(n):
     one = CrossedTerms.one(n)
-    assert one.terms == {(0, (0,) * n, (0,) * n): EC_ONE}
+    assert one.terms == {(0, ((0,) * n, (0,) * n)): EC_ONE}
     rng = Random(n)
     for _ in range(10):
         t = CrossedTerms.of(pi(_random_ncpoly(rng, n)))
         t = t * CrossedTerms.generator(n, rng.randint(1, n))
         assert one * t == t == t * one
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        (2, ((0, 0), (0, 0))),  # grade outside Z_2
+        (-1, ((1, 0), (0, 0))),
+        (1, ((-1, 0), (0, 0))),  # negative exponent
+        (0, ((0, 0, 0), (0, 0, 0))),  # wrong dimension
+    ],
+)
+def test_malformed_crossed_keys_fail_at_construction(key):
+    with pytest.raises(DimensionError):
+        CrossedTerms(2, {key: EC_ONE})
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -17,7 +17,7 @@ from halfsphere.scalars import (
     ExactComplex,
     ops_for,
 )
-from halfsphere.sphere_ring import ZMonomial, ZPoly
+from halfsphere.sphere_ring import ZPoly
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 scalars = st.builds(ExactComplex, rationals, rationals)
@@ -125,7 +125,7 @@ def test_ops_selection_and_policies():
 SPARSE_KEYS = {
     NCPoly: st.lists(st.integers(1, 2), max_size=3).map(tuple),
     ZPoly: st.lists(st.integers(0, 2), min_size=4, max_size=4).map(
-        lambda e: ZMonomial(e[:2], e[2:])
+        lambda e: (tuple(e[:2]), tuple(e[2:]))
     ),
     # unsorted pair lists, so distinct inputs can merge into one key
     PExpr: st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2)), max_size=2).map(tuple),
