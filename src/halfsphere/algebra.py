@@ -282,18 +282,26 @@ def _even_word(a: Tuple[int, ...], b: Tuple[int, ...]) -> Word:
     return tuple(word)
 
 
-def nc_lift(x: CrossedElem) -> NCPoly:
-    """A noncommutative representative with pi(nc_lift(x)) == x.
+def lift_word(grade: int, m: Monomial) -> Word:
+    """The word whose image under pi is the canonical monomial m tau^grade.
 
-    Even monomials lift to the interleaved word of their letters; weight-one
-    monomials factor out the lowest-index letter with surplus z exponent and
-    append it to the lift of the remaining weight-zero monomial.  Distinct
-    canonical monomials produce distinct words, so no coefficients collide.
+    An even monomial lifts to the interleaved word of its letters; a
+    weight-one monomial factors out the lowest-index letter with surplus z
+    exponent and appends it to the lift of the remaining weight-zero
+    monomial.  Distinct canonical monomials produce distinct words.
     """
+    a, b = m
+    if not grade:
+        return _even_word(a, b)
+    k = next(i for i in range(len(a)) if a[i] > b[i])
+    return _even_word(a[:k] + (a[k] - 1,) + a[k + 1:], b) + (k + 1,)
+
+
+def nc_lift(x: CrossedElem) -> NCPoly:
+    """A noncommutative representative with pi(nc_lift(x)) == x, lifting
+    each term by lift_word, so no coefficients collide."""
     terms: Dict[Word, ExactComplex] = {}
-    for (a, b), c in x.f0.terms.items():
-        terms[_even_word(a, b)] = c
-    for (a, b), c in x.f1.terms.items():
-        k = next(i for i in range(x.n) if a[i] > b[i])
-        terms[_even_word(a[:k] + (a[k] - 1,) + a[k + 1:], b) + (k + 1,)] = c
+    for grade, part in enumerate((x.f0, x.f1)):
+        for m, c in part.terms.items():
+            terms[lift_word(grade, m)] = c
     return NCPoly(x.n, terms)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import lru_cache
 from random import Random
 from typing import List, NamedTuple
 
@@ -49,6 +50,7 @@ from .subspaces import (
     classify_pair,
     ideal_span,
     is_graded,
+    lift_basis,
     membership,
     sampled_f_symmetric,
     vanishing_ideal,
@@ -83,7 +85,10 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args returns a fresh Namespace
+    on every call, so nothing carries over between runs."""
     parser = argparse.ArgumentParser(
         prog="halfsphere",
         description="Exact computation in the half-liberated real sphere algebra.",
@@ -381,8 +386,8 @@ def _emit_generators(out: Output, gen_texts):
 
 
 def _emit_basis(out: Output, span):
-    for k, b in enumerate(span.vectors(), start=1):
-        lift = format_ncpoly(nc_lift(b))
+    for k, b in enumerate(lift_basis(span), start=1):
+        lift = format_ncpoly(b)
         out.pair(f"basis_{k}", lift, text=f"  basis {k}: {lift}")
 
 

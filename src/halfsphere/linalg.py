@@ -1,9 +1,10 @@
 """Exact sparse row reduction over the Gaussian rationals, in Gaussian-integer rows.
 
-A vector is a dict mapping column index to a nonzero scalar: an ExactComplex,
-or a Gaussian integer written as a pair (re, im) of ints.  Scaling never
-changes a span, so every vector is first scaled to Gaussian integers
-(integral) and elimination runs fraction-free from there on.
+A vector is a dict mapping column index to a scalar: an ExactComplex, or a
+Gaussian integer written as a pair (re, im) of ints.  A pair vector carries
+no zero entries; an ExactComplex vector may, and integral drops them.
+Scaling never changes a span, so every vector is first scaled to Gaussian
+integers (integral) and elimination runs fraction-free from there on.
 
 Echelon keeps a reduced row echelon form incrementally.  Each stored row is
 an RREF row (pivot coefficient one, no support on any other pivot column)
@@ -35,9 +36,11 @@ ZVector = Dict[int, Tuple[int, int]]
 
 
 def integral(vec) -> ZVector:
-    """vec times the lcm of its denominators, as (re, im) pairs of ints.
+    """vec times the lcm of its denominators, as (re, im) pairs of ints,
+    without its zero entries.
 
-    A vector that is already in pairs is returned as it is.
+    A vector that is already in pairs is returned as it is: pair vectors
+    carry no zeros.
     """
     if type(next(iter(vec.values()), None)) is tuple:
         return vec
@@ -46,6 +49,7 @@ def integral(vec) -> ZVector:
         c: (x.re.numerator * (den // x.re.denominator),
             x.im.numerator * (den // x.im.denominator))
         for c, x in vec.items()
+        if x.re or x.im
     }
 
 

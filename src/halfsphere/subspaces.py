@@ -28,7 +28,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import CrossedElem, CrossedKey, CrossedTerms, NCPoly, pi, nc_lift
+from .algebra import CrossedElem, CrossedKey, CrossedTerms, NCPoly, Word, lift_word, pi
 from .errors import DimensionError, PreconditionError
 from .linalg import Echelon, Vector, ZVector, echelon_from, integral, nullspace
 from .representations import (
@@ -52,10 +52,11 @@ class TruncationBasis:
 
     Columns are CrossedTerms keys (grade, (a, b)) of canonical monomials,
     ordered by descending degree, so any element of degree <= D reduces
-    against pivots of degree <= D only.  index maps each key to its column.
+    against pivots of degree <= D only.  index maps each key to its column,
+    and words gives each column's lift_word.
     """
 
-    __slots__ = ("n", "d", "columns", "index", "_shifts")
+    __slots__ = ("n", "d", "columns", "index", "_shifts", "_words")
 
     def __init__(self, n: int, d: int):
         self.n = n
@@ -66,6 +67,7 @@ class TruncationBasis:
         self.columns: List[CrossedKey] = cols
         self.index = {key: i for i, key in enumerate(cols)}
         self._shifts: Dict[Tuple[int, int], ShiftTable] = {}
+        self._words: Optional[List[Word]] = None
 
     @property
     def column_count(self) -> int:
@@ -88,6 +90,14 @@ class TruncationBasis:
     def element(self, vec: Vector) -> CrossedElem:
         columns = self.columns
         return CrossedTerms._trusted(self.n, {columns[i]: c for i, c in vec.items()}).crossed()
+
+    @property
+    def words(self) -> List[Word]:
+        """Column -> the word whose image under pi is the column.  Built on
+        first use."""
+        if self._words is None:
+            self._words = [lift_word(grade, m) for grade, m in self.columns]
+        return self._words
 
     def shift(self, side: int, i: int) -> ShiftTable:
         """Multiplication by v_i on the left (side 0) or the right (side 1).
@@ -443,5 +453,10 @@ def vanishing_ideal(points: Sequence[SpherePoint], degree_bound: int, n: int) ->
 
 
 def lift_basis(span: SpanBasis) -> List[NCPoly]:
-    """Noncommutative representatives of a span basis, via nc_lift."""
-    return [nc_lift(b) for b in span.vectors()]
+    """Noncommutative representatives of the span's RREF rows, read off the
+    truncation's word table: the k-th is nc_lift of span.vectors()[k]."""
+    n, words = span.n, span.basis.words
+    return [
+        NCPoly._trusted(n, {words[c]: x for c, x in row.items()})
+        for row in span.echelon.rows()
+    ]

@@ -298,6 +298,34 @@ def test_shared_handler_prints_its_own_section(name):
     assert run_ok(["--n", "2", name, "v1*v2"]).startswith(f"{name}: ")
 
 
+# calls that differ in mode, n, command, argument count and output format
+BACK_TO_BACK = [
+    ["--n", "2", "--mode", "approx", "classify", "0.6,0.8"],
+    ["--n", "2", "classify", "3/5,4/5"],
+    ["--n", "4", "nf", "v1*v2*v3*v4*v1"],
+    ["nf", "v1*v2*v3*v1"],
+    ["--n", "2", "--degree", "4", "span", "v1*v2 - v2*v1", "(1/2+i)*v1*v1 - v2"],
+    ["verify", "relations"],
+    ["--format", "structured", "grade", "v1 + v1*v2"],
+    ["grade", "v1 + v1*v2"],
+]
+
+
+def _without_timing(result):
+    # verify's text output gives each suite's wall time
+    code, text = result
+    return code, re.sub(r" \[\d+\.\d+ s\]", "", text)
+
+
+def test_cached_parser_keeps_no_state_between_runs():
+    build_parser.cache_clear()
+    cached = [_without_timing(run(argv)) for argv in BACK_TO_BACK]
+    assert build_parser.cache_info().misses == 1
+    for argv, got in zip(BACK_TO_BACK, cached):
+        build_parser.cache_clear()
+        assert got == _without_timing(run(argv)), argv
+
+
 def test_session_header_reflects_flags():
     d = kv(run_ok(["--n", "3", "--degree", "4", "--seed", "7",
                    "--format", "structured", "projcheck"]))

@@ -271,3 +271,36 @@ def test_nullspace_matches_the_rational_reference(case):
     assert_primitive_rows(kernel)
     assert kernel.rows() == reference.rows()
     assert kernel == echelon_from(reference.rows())
+
+
+ZERO = ExactComplex(0)
+
+
+def test_explicit_zero_entries_are_dropped():
+    ech = Echelon()
+    assert ech.insert({0: ZERO, 1: EC_ONE})
+    assert ech.int_rows == {1: {1: (1, 0)}}
+    assert ech.rows() == [{1: EC_ONE}]
+    assert ech.contains({1: EC_ONE}) and ech.contains({0: ZERO, 1: EC_ONE})
+    assert integral({0: ZERO, 2: ExactComplex(Fraction(1, 2))}) == {2: (1, 0)}
+    assert nullspace([{0: ZERO, 1: EC_ONE}], 2) == nullspace([{1: EC_ONE}], 2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(functionals(), st.data())
+def test_explicit_zeros_change_no_answer(case, data):
+    rows, ncols = case
+    if ncols == 0:
+        return
+    columns = st.sets(st.integers(0, ncols - 1), max_size=ncols)
+    padded = [{**{c: ZERO for c in data.draw(columns)}, **r} for r in rows]
+    vec = data.draw(st.dictionaries(st.integers(0, ncols - 1), nonzero, max_size=ncols))
+    padded_vec = {**{c: ZERO for c in data.draw(columns)}, **vec}
+    plain, with_zeros = echelon_from(rows), echelon_from(padded)
+    assert with_zeros == plain
+    assert_primitive_rows(with_zeros)
+    assert with_zeros.rows() == plain.rows()
+    assert with_zeros.contains(padded_vec) == plain.contains(vec)
+    assert with_zeros.insert(padded_vec) == plain.insert(vec)
+    assert with_zeros == plain
+    assert nullspace(padded, ncols) == nullspace(rows, ncols)

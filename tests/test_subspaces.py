@@ -7,7 +7,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from halfsphere.algebra import CrossedElem, CrossedTerms, NCPoly, pi
+from halfsphere.algebra import CrossedElem, CrossedTerms, NCPoly, nc_lift, pi
 from halfsphere.errors import DimensionError, PreconditionError
 from halfsphere.linalg import echelon_from
 from halfsphere.representations import (
@@ -144,6 +144,13 @@ def random_specs(draw):
 @given(random_specs())
 def test_random_ideal_spans_match_brute_force(spec):
     assert ideal_span(spec).echelon == brute_force_span(spec)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(random_specs())
+def test_lift_basis_matches_nc_lift_on_random_spans(spec):
+    span = ideal_span(spec)
+    assert lift_basis(span) == [nc_lift(b) for b in span.vectors()]
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -458,6 +465,15 @@ def test_columns_are_the_sorted_canonical_monomials(n, d):
     assert tb.columns == expected
     assert all(CrossedTerms._key(n, key) == key for key in tb.columns)
     assert all(tb.vector(tb.element({c: EC_ONE})) == {c: EC_ONE} for c in range(len(expected)))
+
+
+@pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 5) for d in range(7)])
+def test_word_table_lifts_each_column(n, d):
+    tb = TruncationBasis(n, d)
+    assert len(tb.words) == tb.column_count
+    assert len(set(tb.words)) == tb.column_count
+    for c, word in enumerate(tb.words):
+        assert pi(NCPoly(n, {word: EC_ONE})) == tb.element({c: EC_ONE})
 
 
 def test_truncation_basis_degree_overflow():
